@@ -1,12 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (at a reduced per-iteration budget so -bench=. stays fast;
-// the EXPERIMENTS.md numbers come from the full-budget CLI runs), plus
+// the paper's published values live in workload.PaperRow, and perfbench's
+// paper_rel_err scores full-budget runs against them), plus
 // micro-benchmarks of the core mechanisms. Custom metrics expose the
 // reproduced quantity (TPC, hit ratios) alongside time/op.
 package dynloop_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -399,42 +399,6 @@ func BenchmarkBaselineBranchPred(b *testing.B) {
 				bwd += r.Results[2].BackwardAccuracy() // gshare
 			}
 			b.ReportMetric(bwd/float64(len(rows)), "gshare-bwd-%")
-		}
-	}
-}
-
-// BenchmarkTraceFile measures trace-file write+replay throughput.
-func BenchmarkTraceFile(b *testing.B) {
-	bm, err := dynloop.BenchmarkByName("m88ksim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	u, err := bm.Build(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := dynloop.NewTraceWriter(&buf, u.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cpu := u.NewCPU()
-	const n = 100_000
-	if _, err := cpu.Run(n, w); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := dynloop.NewTraceReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Replay(nil); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -156,7 +156,6 @@ commands:
                                      daemon, then report rps and p50/p99 from
                                      the daemon's /metrics histograms and
                                      check the scrape reconciles with /v1/stats
-  trace  -bench NAME -o FILE [-n N]  record an instruction trace to a file
   trace  record -traces DIR [-bench a,b] [-n N] [-seed N]
                                      warm a trace archive (one recording per
                                      benchmark; covered benchmarks replay)
@@ -169,8 +168,9 @@ commands:
   store  gen -store DIR [-keys N] [-rounds R] [-valbytes B] [-seed S]
                                      write a synthetic garbage-heavy store
                                      (smoke tests, compaction benchmarks)
-  replay -i FILE [-tus K] [-policy P]
-                                     drive the detector + engine from a trace
+  replay -traces DIR [-tus K] [-policy P]
+                                     drive the detector + engine from every
+                                     recording in a trace archive
 
 experiment, sweep, grid and serve also take -store DIR to persist every
 computed cell in an on-disk result store and serve repeat cells from it,
@@ -764,167 +764,136 @@ func cmdExperiment(ctx context.Context, args []string) error {
 	return run(what)
 }
 
-func cmdSweep(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	n := fs.Uint64("n", expt.DefaultBudget, "per-benchmark instruction budget")
-	seed := fs.Uint64("seed", 1, "workload input seed")
-	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all 18)")
-	policies := fs.String("policy", "", "comma-separated policies (default: idle,str,str1,str2,str3)")
-	tus := fs.String("tus", "", "comma-separated machine sizes (default: 2,4,8,16)")
-	batch := fs.Int("batch", 0, "event-batch size (0 = default 1024; output is identical at any size)")
-	remote := fs.String("remote", "", "run the sweep on a dynloop serve daemon at this base URL instead of locally")
-	progress, mkRunner := parallelFlags(fs)
-	applyDelivery := deliveryFlags(fs)
-	profile := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var tuList []int
-	if *tus != "" {
-		for _, s := range strings.Split(*tus, ",") {
-			k, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || k < 0 {
-				return fmt.Errorf("bad -tus entry %q", s)
-			}
-			tuList = append(tuList, k)
-		}
-	}
-	var benchList, policyList []string
-	if *benches != "" {
-		benchList = strings.Split(*benches, ",")
-	}
-	if *policies != "" {
-		policyList = strings.Split(*policies, ",")
-	}
+// gridRun holds the flags grid and sweep share and executes a spec with
+// them, locally or on a daemon. Both paths render through the same
+// spec-driven renderer, so the bytes match.
+type gridRun struct {
+	n, seed       *uint64
+	benches       *string
+	batch         *int
+	remote        *string
+	progress      *bool
+	mkRunner      func() (*orchestrator, error)
+	applyDelivery func(*expt.Config)
+	profile       func() (func() error, error)
+}
 
-	if *remote != "" {
-		return remoteSweep(ctx, *remote, wire.SweepRequest{
-			Benchmarks: benchList,
-			Policies:   policyList,
-			TUs:        tuList,
-			Budget:     *n,
-			Seed:       *seed,
-			BatchSize:  *batch,
-		}, *progress)
+func gridRunFlags(fs *flag.FlagSet) *gridRun {
+	g := &gridRun{
+		n:       fs.Uint64("n", expt.DefaultBudget, "default per-benchmark instruction budget (a spec may sweep explicit budgets)"),
+		seed:    fs.Uint64("seed", 1, "default workload input seed (a spec may sweep explicit seeds)"),
+		benches: fs.String("bench", "", "comma-separated benchmark subset (when the spec names none; default: all 18)"),
+		batch:   fs.Int("batch", 0, "event-batch size (0 = default 1024; output is identical at any size)"),
+		remote:  fs.String("remote", "", "execute on a dynloop serve daemon at this base URL instead of locally"),
 	}
+	g.progress, g.mkRunner = parallelFlags(fs)
+	g.applyDelivery = deliveryFlags(fs)
+	g.profile = profileFlags(fs)
+	return g
+}
 
-	stopProfile, err := profile()
+// config returns the config-level defaults the spec's zero-valued axes
+// resolve to.
+func (g *gridRun) config() expt.Config {
+	cfg := expt.Config{Budget: *g.n, Seed: *g.seed, BatchSize: *g.batch}
+	if *g.benches != "" {
+		cfg.Benchmarks = strings.Split(*g.benches, ",")
+	}
+	return cfg
+}
+
+// run executes gs and prints the rendered result. With -remote, a
+// non-empty name sends the registered grid by name, otherwise the spec
+// goes inline.
+func (g *gridRun) run(ctx context.Context, gs dynloop.GridSpec, name string) error {
+	cfg := g.config()
+	if *g.remote != "" {
+		return remoteGrid(ctx, *g.remote, cfg, gs, name, *g.progress)
+	}
+	stopProfile, err := g.profile()
 	if err != nil {
 		return err
 	}
-	o, err := mkRunner()
+	o, err := g.mkRunner()
 	if err != nil {
 		return err
 	}
 	defer o.close()
-	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Benchmarks: benchList, Runner: o.runner, Traces: o.traces}
-	applyDelivery(&cfg)
-	defer func() { printRunnerStats(cfg.Runner, *progress, *seed) }()
+	cfg.Runner = o.runner
+	cfg.Traces = o.traces
+	g.applyDelivery(&cfg)
+	defer func() { printRunnerStats(cfg.Runner, *g.progress, *g.seed) }()
 	defer func() {
 		if err := stopProfile(); err != nil {
 			fmt.Fprintln(os.Stderr, "dynloop: profile:", err)
 		}
 	}()
+	res, err := dynloop.RunGrid(ctx, cfg, gs)
+	if err != nil {
+		return err
+	}
+	out, err := dynloop.RenderGrid(res)
+	if err != nil {
+		return err
+	}
+	fmt.Print(out)
+	return nil
+}
+
+// cmdSweep runs the registered "sweep" grid with its policy and TU axes
+// taken from the flags.
+func cmdSweep(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	policies := fs.String("policy", "", "comma-separated policies (default: idle,str,str1,str2,str3)")
+	tus := fs.String("tus", "", "comma-separated machine sizes (default: 2,4,8,16)")
+	g := gridRunFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	gs, err := sweepSpec(*policies, *tus)
+	if err != nil {
+		return err
+	}
+	return g.run(ctx, gs, "")
+}
+
+// sweepSpec lowers comma-separated -policy and -tus values (empty =
+// the paper's defaults) onto the registered "sweep" grid.
+func sweepSpec(policies, tus string) (dynloop.GridSpec, error) {
 	var sw expt.SweepSpec
-	if len(policyList) > 0 {
-		pols, err := expt.ParsePolicies(policyList)
+	if policies != "" {
+		pols, err := expt.ParsePolicies(strings.Split(policies, ","))
 		if err != nil {
-			return err
+			return dynloop.GridSpec{}, err
 		}
 		sw.Policies = pols
 	}
-	sw.TUs = tuList
-	rows, err := expt.Sweep(ctx, cfg, sw)
-	if err != nil {
-		return err
-	}
-	fmt.Print(expt.RenderSweep(rows))
-	return nil
-}
-
-// remoteSweep runs the grid on a daemon and renders the rows with the
-// same renderer as the local path — the output is byte-identical to a
-// local run of the same grid. With -progress, the daemon's event
-// stream is mirrored to stderr while the sweep computes (events from
-// other concurrent clients appear too: the daemon's grid is shared).
-func remoteSweep(ctx context.Context, base string, req wire.SweepRequest, progress bool) error {
-	c := client.New(base, nil)
-	if err := c.Health(ctx); err != nil {
-		return fmt.Errorf("daemon at %s: %w", base, err)
-	}
-	var stopEvents context.CancelFunc
-	if progress {
-		var evCtx context.Context
-		evCtx, stopEvents = context.WithCancel(ctx)
-		print := progressPrinter()
-		go func() {
-			err := c.Events(evCtx, func(ev wire.Event) {
-				kind, ok := map[string]runner.EventKind{
-					"done": runner.JobDone, "cached": runner.JobCached, "failed": runner.JobFailed,
-				}[ev.Kind]
-				if !ok {
-					return
-				}
-				rev := runner.Event{Kind: kind, Key: ev.Key, Label: ev.Label,
-					Elapsed: time.Duration(ev.ElapsedMS) * time.Millisecond, Completed: ev.Completed}
-				if ev.Err != "" {
-					rev.Err = fmt.Errorf("%s", ev.Err)
-				}
-				print(rev)
-			})
-			if err != nil && evCtx.Err() == nil {
-				fmt.Fprintln(os.Stderr, "dynloop: event stream:", err)
+	if tus != "" {
+		for _, s := range strings.Split(tus, ",") {
+			k, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil || k < 0 {
+				return dynloop.GridSpec{}, fmt.Errorf("bad -tus entry %q", s)
 			}
-		}()
-	}
-	rows, err := c.Sweep(ctx, req)
-	if stopEvents != nil {
-		stopEvents()
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Print(expt.RenderSweep(rows))
-	if progress {
-		st, err := c.Stats(ctx)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "daemon: %d jobs, %d executed, %d fused group runs on %d workers, %d cache hits, %d coalesced, %d disk hits, %d disk puts, %d trace replays, %d trace records\n",
-				st.Runner.Submitted, st.Runner.Executed, st.Runner.GroupRuns, st.Workers,
-				st.Runner.CacheHits, st.Runner.Coalesced, st.Runner.DiskHits, st.Runner.DiskPuts,
-				st.Runner.ReplayRuns, st.Runner.RecordRuns)
+			sw.TUs = append(sw.TUs, k)
 		}
 	}
-	return nil
+	return sw.GridSpec(), nil
 }
 
 // cmdGrid executes a declarative grid spec — a user-authored JSON file
-// or a registered name — locally or on a serve daemon. Both paths
-// render through the same spec-driven renderer, so the bytes match.
+// or a registered name — locally or on a serve daemon.
 func cmdGrid(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("grid", flag.ExitOnError)
 	specFile := fs.String("spec", "", "JSON grid spec file to execute")
 	name := fs.String("name", "", "registered grid to execute (see -list)")
 	list := fs.Bool("list", false, "list the registered grids and exit")
-	n := fs.Uint64("n", expt.DefaultBudget, "default per-benchmark instruction budget (a spec may sweep explicit budgets)")
-	seed := fs.Uint64("seed", 1, "default workload input seed (a spec may sweep explicit seeds)")
-	benches := fs.String("bench", "", "comma-separated benchmark subset (when the spec names none)")
-	batch := fs.Int("batch", 0, "event-batch size (0 = default 1024; output is identical at any size)")
 	format := fs.String("format", "", "override the render layout: table, csv or json")
-	remote := fs.String("remote", "", "execute the grid on a dynloop serve daemon at this base URL")
-	progress, mkRunner := parallelFlags(fs)
-	applyDelivery := deliveryFlags(fs)
-	profile := profileFlags(fs)
+	g := gridRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var benchList []string
-	if *benches != "" {
-		benchList = strings.Split(*benches, ",")
-	}
-	cfg := expt.Config{Budget: *n, Seed: *seed, BatchSize: *batch, Benchmarks: benchList}
-
 	if *list {
-		return listGrids(ctx, *remote, cfg)
+		return listGrids(ctx, *g.remote, g.config())
 	}
 
 	var gs dynloop.GridSpec
@@ -956,39 +925,7 @@ func cmdGrid(ctx context.Context, args []string) error {
 	if *format != "" {
 		gs.Render.Format = *format
 	}
-
-	if *remote != "" {
-		return remoteGrid(ctx, *remote, cfg, gs, *name, *progress)
-	}
-
-	stopProfile, err := profile()
-	if err != nil {
-		return err
-	}
-	o, err := mkRunner()
-	if err != nil {
-		return err
-	}
-	defer o.close()
-	cfg.Runner = o.runner
-	cfg.Traces = o.traces
-	applyDelivery(&cfg)
-	defer func() { printRunnerStats(cfg.Runner, *progress, *seed) }()
-	defer func() {
-		if err := stopProfile(); err != nil {
-			fmt.Fprintln(os.Stderr, "dynloop: profile:", err)
-		}
-	}()
-	res, err := dynloop.RunGrid(ctx, cfg, gs)
-	if err != nil {
-		return err
-	}
-	out, err := dynloop.RenderGrid(res)
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
-	return nil
+	return g.run(ctx, gs, *name)
 }
 
 // listGrids prints the grid registry — the local one, or the daemon's
@@ -1025,7 +962,9 @@ func listGrids(ctx context.Context, remote string, cfg expt.Config) error {
 // remoteGrid runs the spec on a daemon and renders the returned cell
 // values through the same renderer as the local path — byte-identical
 // output. Named grids go up by name (the daemon resolves its canonical
-// spec — identical to ours); ad-hoc specs go up inline.
+// spec — identical to ours); ad-hoc specs go up inline. With progress,
+// the daemon's event stream is mirrored to stderr while the grid
+// computes.
 func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.GridSpec, name string, progress bool) error {
 	c := client.New(base, nil)
 	if err := c.Health(ctx); err != nil {
@@ -1042,7 +981,16 @@ func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.Gr
 	} else {
 		req.Spec = &gs
 	}
+	var stopEvents context.CancelFunc
+	if progress {
+		var evCtx context.Context
+		evCtx, stopEvents = context.WithCancel(ctx)
+		go mirrorEvents(evCtx, c)
+	}
 	values, err := c.Grid(ctx, req)
+	if stopEvents != nil {
+		stopEvents()
+	}
 	if err != nil {
 		return err
 	}
@@ -1067,8 +1015,30 @@ func remoteGrid(ctx context.Context, base string, cfg expt.Config, gs dynloop.Gr
 	return nil
 }
 
-// cmdServe runs the grid-serving daemon until interrupted; Ctrl-C (or
-// SIGINT from a supervisor) shuts it down gracefully.
+// mirrorEvents prints the daemon's progress stream to stderr until ctx
+// is cancelled. Events from other concurrent clients appear too: the
+// daemon's runner is shared.
+func mirrorEvents(ctx context.Context, c *client.Client) {
+	print := progressPrinter()
+	err := c.Events(ctx, func(ev wire.Event) {
+		kind, ok := map[string]runner.EventKind{
+			"done": runner.JobDone, "cached": runner.JobCached, "failed": runner.JobFailed,
+		}[ev.Kind]
+		if !ok {
+			return
+		}
+		rev := runner.Event{Kind: kind, Key: ev.Key, Label: ev.Label,
+			Elapsed: time.Duration(ev.ElapsedMS) * time.Millisecond, Completed: ev.Completed}
+		if ev.Err != "" {
+			rev.Err = fmt.Errorf("%s", ev.Err)
+		}
+		print(rev)
+	})
+	if err != nil && ctx.Err() == nil {
+		fmt.Fprintln(os.Stderr, "dynloop: event stream:", err)
+	}
+}
+
 // splitList splits a comma-separated flag value, trimming whitespace
 // and dropping empty elements.
 func splitList(s string) []string {
@@ -1081,6 +1051,8 @@ func splitList(s string) []string {
 	return out
 }
 
+// cmdServe runs the grid-serving daemon until interrupted; Ctrl-C (or
+// SIGINT from a supervisor) shuts it down gracefully.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9090", "listen address")
@@ -1186,9 +1158,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	return err
 }
 
-// cmdTrace dispatches the archive subcommands (record, ls, verify) and
-// falls through to the legacy single-file recorder for flag-style
-// invocations (dynloop trace -bench NAME -o FILE).
+// cmdTrace dispatches the archive subcommands: record, ls and verify.
 func cmdTrace(ctx context.Context, args []string) error {
 	if len(args) > 0 {
 		switch args[0] {
@@ -1200,7 +1170,7 @@ func cmdTrace(ctx context.Context, args []string) error {
 			return cmdTraceVerify(args[1:])
 		}
 	}
-	return cmdTraceFile(args)
+	return fmt.Errorf("trace: want a subcommand: record, ls or verify")
 }
 
 // cmdTraceRecord warms a trace archive: one recording per requested
@@ -1330,83 +1300,44 @@ func cmdTraceVerify(args []string) error {
 	return nil
 }
 
-func cmdTraceFile(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	bench, n, seed, batch := benchFlags(fs)
-	out := fs.String("o", "", "output trace file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("missing -o FILE")
-	}
-	u, err := buildBench(*bench, *seed)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := tracefile.NewWriter(f, u.Prog)
-	if err != nil {
-		return err
-	}
-	cpu := u.NewCPU()
-	cpu.SetBatchSize(*batch)
-	executed, err := cpu.Run(*n, w)
-	if err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d instructions of %s to %s\n", executed, *bench, *out)
-	return nil
-}
-
+// cmdReplay drives the detector and the speculation engine from every
+// recording in a trace archive, one row per recording, without
+// re-executing any program.
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	in := fs.String("i", "", "input trace file")
+	dir := fs.String("traces", "", "trace-archive directory")
 	tus := fs.Int("tus", 4, "thread units")
 	polName := fs.String("policy", "str3", "speculation policy")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("missing -i FILE")
+	if *dir == "" {
+		return fmt.Errorf("missing -traces DIR")
 	}
 	pol, err := parsePolicy(*polName)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*in)
+	arch, err := tracefile.OpenArchive(*dir)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r, err := tracefile.NewReader(f)
-	if err != nil {
-		return err
+	t := report.NewTable(fmt.Sprintf("replay of trace archive %s (%d TUs, %s)", *dir, *tus, pol),
+		"bench", "seed", "events", "static loops", "iter/exec", "TPC", "hit ratio %")
+	for _, r := range arch.Recordings() {
+		det := dynloop.NewDetector(dynloop.DetectorConfig{Capacity: 16})
+		stats := dynloop.NewLoopStats()
+		e := dynloop.NewEngine(dynloop.EngineConfig{TUs: *tus, Policy: pol})
+		det.AddObserver(stats)
+		det.AddObserver(e)
+		n, _, err := r.Replay(0, nil, det)
+		if err != nil {
+			return fmt.Errorf("%s seed %d: %w", r.Bench(), r.Seed(), err)
+		}
+		det.Flush()
+		s, m := stats.Summary(), e.Metrics()
+		t.AddRow(r.Bench(), r.Seed(), n, s.StaticLoops, s.ItersPerExec, m.TPC(), m.HitRatio())
 	}
-	det := dynloop.NewDetector(dynloop.DetectorConfig{Capacity: 16})
-	stats := dynloop.NewLoopStats()
-	e := dynloop.NewEngine(dynloop.EngineConfig{TUs: *tus, Policy: pol})
-	det.AddObserver(stats)
-	det.AddObserver(e)
-	nEvents, err := r.Replay(det)
-	if err != nil {
-		return err
-	}
-	det.Flush()
-	s, m := stats.Summary(), e.Metrics()
-	t := report.NewTable(fmt.Sprintf("replay of %q (%d events)", r.Program().Name, nEvents),
-		"metric", "value")
-	t.AddRow("static loops", s.StaticLoops)
-	t.AddRow("iter/exec", s.ItersPerExec)
-	t.AddRow("TPC", m.TPC())
-	t.AddRow("hit ratio %", m.HitRatio())
 	fmt.Print(t.String())
 	return nil
 }

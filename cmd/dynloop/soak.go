@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,22 +60,17 @@ func cmdSoak(ctx context.Context, args []string) error {
 	if *remote == "" {
 		return fmt.Errorf("missing -remote URL (start one with: dynloop serve)")
 	}
-	var tuList []int
-	for _, s := range strings.Split(*tus, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || k < 0 {
-			return fmt.Errorf("bad -tus entry %q", s)
-		}
-		tuList = append(tuList, k)
+	gs, err := sweepSpec(*policies, *tus)
+	if err != nil {
+		return err
 	}
-	req := wire.SweepRequest{
+	req := wire.GridRequest{
+		Spec:       &gs,
 		Benchmarks: strings.Split(*benches, ","),
-		Policies:   strings.Split(*policies, ","),
-		TUs:        tuList,
 		Budget:     *n,
 		Seed:       *seed,
 	}
-	cells := len(req.Benchmarks) * len(req.Policies) * len(tuList)
+	cells := len(req.Benchmarks) * len(gs.Policies) * len(gs.TUs)
 
 	c := client.New(*remote, nil)
 	if err := c.Health(ctx); err != nil {
@@ -103,7 +97,7 @@ func cmdSoak(ctx context.Context, args []string) error {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) && loadCtx.Err() == nil {
-				if _, err := c.Sweep(loadCtx, req); err != nil {
+				if _, err := c.Grid(loadCtx, req); err != nil {
 					if loadCtx.Err() != nil {
 						return // deadline cut the request short, not a failure
 					}
@@ -136,7 +130,7 @@ func cmdSoak(ctx context.Context, args []string) error {
 		CellsPer:  cells,
 		CellsPerS: float64(requests.Load()) * float64(cells) / elapsed.Seconds(),
 	}
-	rep.P50Ms, rep.P99Ms, err = sweepQuantileDeltas(mBefore, mAfter)
+	rep.P50Ms, rep.P99Ms, err = gridQuantileDeltas(mBefore, mAfter)
 	if err != nil {
 		return err
 	}
@@ -162,11 +156,11 @@ func cmdSoak(ctx context.Context, args []string) error {
 	return nil
 }
 
-// sweepQuantileDeltas derives p50/p99 (milliseconds) for the sweep
+// gridQuantileDeltas derives p50/p99 (milliseconds) for the grid
 // endpoint from the latency-histogram movement between two scrapes.
-func sweepQuantileDeltas(before, after map[string]float64) (p50, p99 float64, err error) {
+func gridQuantileDeltas(before, after map[string]float64) (p50, p99 float64, err error) {
 	const fam = "dynloop_http_request_seconds"
-	const sel = `endpoint="/v1/sweep"`
+	const sel = `endpoint="/v1/grid"`
 	_, c0, err := obs.BucketsOf(before, fam, sel)
 	if err != nil {
 		return 0, 0, err
@@ -185,7 +179,7 @@ func sweepQuantileDeltas(before, after map[string]float64) (p50, p99 float64, er
 	p50 = 1000 * obs.Quantile(0.50, bounds, delta)
 	p99 = 1000 * obs.Quantile(0.99, bounds, delta)
 	if math.IsNaN(p50) || math.IsNaN(p99) {
-		return 0, 0, fmt.Errorf("soak: no sweep requests landed in the latency histogram")
+		return 0, 0, fmt.Errorf("soak: no grid requests landed in the latency histogram")
 	}
 	return p50, p99, nil
 }
@@ -216,8 +210,8 @@ func reconcile(mBefore, mAfter map[string]float64, sBefore, sAfter wire.Stats, c
 	// Every completed client request must appear in the endpoint counter;
 	// the counter may run ahead by requests the deadline aborted mid-
 	// flight, never behind.
-	if got := delta(`dynloop_http_requests_total{endpoint="/v1/sweep"}`); got < clientReqs {
-		bad = append(bad, fmt.Sprintf("sweep endpoint counted %d requests, clients completed %d", got, clientReqs))
+	if got := delta(`dynloop_http_requests_total{endpoint="/v1/grid"}`); got < clientReqs {
+		bad = append(bad, fmt.Sprintf("grid endpoint counted %d requests, clients completed %d", got, clientReqs))
 	}
 	return bad
 }

@@ -24,17 +24,16 @@
 //     paper's evaluation;
 //   - a parallel experiment orchestrator (bounded worker pool, keyed
 //     result cache, per-job progress) that fans the experiment cells
-//     across GOMAXPROCS — see RunAll, RunSweep and RunnerConfig; and
+//     across GOMAXPROCS — see RunAll and RunGrid; and
 //   - a pass framework (Pass, MultiRun, NewObserverPass) that broadcasts
 //     one traversal of a benchmark's instruction stream to any number of
 //     independent analyses, so a whole sweep column costs one
 //     interpretation instead of one per cell — the experiment drivers
 //     fuse their (benchmark, budget) groups this way automatically; and
 //   - a grid-serving subsystem: a crash-safe on-disk result store that
-//     plugs in behind the orchestrator's cache (OpenStore,
-//     NewStoreCache), and an HTTP daemon + client (NewServer,
-//     NewClient, `dynloop serve`) that serve precomputed grids to
-//     remote sweeps byte-identically to local runs; and
+//     plugs in behind the orchestrator's cache, and an HTTP daemon
+//     (`dynloop serve`) that serves precomputed grids to remote clients
+//     byte-identically to local runs; and
 //   - a declarative grid layer (GridSpec, RunGrid, GridNames): every
 //     paper section is a registered spec, and a user-authored JSON
 //     spec sweeping any axes — benchmarks, budgets, seeds, CLS
@@ -56,11 +55,9 @@ package dynloop
 
 import (
 	"context"
-	"io"
 
 	"dynloop/internal/branchpred"
 	"dynloop/internal/builder"
-	"dynloop/internal/client"
 	"dynloop/internal/datapred"
 	"dynloop/internal/expt"
 	"dynloop/internal/grid"
@@ -68,14 +65,9 @@ import (
 	"dynloop/internal/loopdet"
 	"dynloop/internal/loopstats"
 	"dynloop/internal/looptab"
-	"dynloop/internal/program"
-	"dynloop/internal/runner"
-	"dynloop/internal/server"
 	"dynloop/internal/spec"
-	"dynloop/internal/store"
 	"dynloop/internal/trace"
 	"dynloop/internal/tracefile"
-	"dynloop/internal/wire"
 	"dynloop/internal/workload"
 )
 
@@ -99,13 +91,8 @@ type (
 	EndReason = loopdet.EndReason
 )
 
-// Workloads.
-type (
-	// Benchmark is one synthetic SPEC95 stand-in workload.
-	Benchmark = workload.Benchmark
-	// PaperRow carries the published reference numbers of a benchmark.
-	PaperRow = workload.PaperRow
-)
+// Benchmark is one synthetic SPEC95 stand-in workload.
+type Benchmark = workload.Benchmark
 
 // Speculation engine (§3).
 type (
@@ -113,8 +100,6 @@ type (
 	Engine = spec.Engine
 	// EngineConfig parametrises an Engine.
 	EngineConfig = spec.Config
-	// EngineMetrics are the engine's aggregate results.
-	EngineMetrics = spec.Metrics
 	// Policy selects IDLE, STR or STR(i).
 	Policy = spec.Policy
 )
@@ -123,36 +108,15 @@ type (
 type (
 	// LoopStats collects the paper's Table 1 statistics.
 	LoopStats = loopstats.Collector
-	// LoopStatsSummary is one Table 1 row.
-	LoopStatsSummary = loopstats.Summary
 	// TableTracker measures LET/LIT hit ratios (§2.3.1, Figure 4).
 	TableTracker = looptab.Tracker
 	// DataStats collects the §4 data-speculation statistics (Figure 8).
 	DataStats = datapred.Collector
-	// DataStatsSummary is the Figure 8 result set.
-	DataStatsSummary = datapred.Summary
 )
 
-// Experiments and the parallel orchestrator.
-type (
-	// ExperimentConfig parametrises the table/figure drivers, including
-	// the worker bound (Parallel) and an optional shared Runner.
-	ExperimentConfig = expt.Config
-	// Runner is the parallel experiment orchestrator: a bounded worker
-	// pool with a keyed result cache and per-job progress events.
-	Runner = runner.Runner
-	// RunnerConfig parametrises a Runner.
-	RunnerConfig = runner.Config
-	// RunnerEvent is one per-job progress notification.
-	RunnerEvent = runner.Event
-	// RunnerStats are the runner-lifetime counters (jobs executed,
-	// cache hits, coalesced waits, failures).
-	RunnerStats = runner.Stats
-	// SweepSpec selects the policy × machine-size grid RunSweep expands.
-	SweepSpec = expt.SweepSpec
-	// SweepRow is one cell of a RunSweep grid.
-	SweepRow = expt.SweepRow
-)
+// ExperimentConfig parametrises the table/figure drivers, including
+// the worker bound (Parallel) and an optional shared runner.
+type ExperimentConfig = expt.Config
 
 // The declarative grid layer: every experiment is a grid.Spec — axes
 // (benchmarks, budgets, seeds, CLS capacities, TU counts, policies,
@@ -170,11 +134,6 @@ type (
 	// GridResult is an executed grid: resolved spec, cells, one value
 	// per cell.
 	GridResult = grid.Result
-	// GridExclusion is one point of a GridSpec's exclusion-table axis.
-	GridExclusion = grid.ExclusionSpec
-	// GridRequest asks a Server to execute a grid (by registered name
-	// or inline spec).
-	GridRequest = wire.GridRequest
 )
 
 // RunGrid executes a declarative grid spec: axes compile to versioned
@@ -205,11 +164,6 @@ func GridResultFrom(cfg ExperimentConfig, s GridSpec, values []any) (*GridResult
 // layout.
 func RenderGrid(res *GridResult) (string, error) { return grid.RenderResult(res) }
 
-// NewRunner returns a parallel experiment orchestrator to share across
-// experiment drivers: the worker bound pools and identical cells are
-// computed once. Set it as ExperimentConfig.Runner.
-func NewRunner(cfg RunnerConfig) *Runner { return runner.New(cfg) }
-
 // RunAll regenerates every table, figure, baseline and ablation of the
 // paper's evaluation through one shared orchestrator and returns the
 // rendered report. Cells are fanned across ExperimentConfig.Parallel
@@ -219,20 +173,8 @@ func RunAll(ctx context.Context, cfg ExperimentConfig) (string, error) {
 	return expt.All(ctx, cfg)
 }
 
-// RunSweep runs an arbitrary benchmark × policy × machine-size grid
-// through the orchestrator and returns one row per cell.
-func RunSweep(ctx context.Context, cfg ExperimentConfig, sw SweepSpec) ([]SweepRow, error) {
-	return expt.Sweep(ctx, cfg, sw)
-}
-
-// RenderSweep formats a RunSweep grid as a table.
-func RenderSweep(rows []SweepRow) string { return expt.RenderSweep(rows) }
-
 // Benchmarks returns the 18 synthetic SPEC95 workloads, sorted by name.
 func Benchmarks() []Benchmark { return workload.All() }
-
-// BenchmarkNames returns the workload names, sorted.
-func BenchmarkNames() []string { return workload.Names() }
 
 // BenchmarkByName looks a workload up by its SPEC95 name.
 func BenchmarkByName(name string) (Benchmark, error) { return workload.ByName(name) }
@@ -284,15 +226,6 @@ func NewObserverPass(clsCapacity int, observers ...Observer) *Detector {
 	return harness.NewObserverPass(clsCapacity, observers...)
 }
 
-// AsPass adapts a plain batch consumer (e.g. a trace.Hash or Counter)
-// into a Pass with no-op lifecycle hooks, for fusing raw-stream
-// consumers into a MultiRun traversal.
-func AsPass(c TraceBatchConsumer) Pass { return trace.AsPass(c) }
-
-// TraceBatchConsumer receives retired-instruction events in batches (see
-// trace.BatchConsumer for the buffer-lifetime rules).
-type TraceBatchConsumer = trace.BatchConsumer
-
 // NewDetector returns a standalone loop detector; feed it trace events
 // directly when not using Run.
 func NewDetector(cfg DetectorConfig) *Detector { return loopdet.New(cfg) }
@@ -321,26 +254,6 @@ func STR() Policy { return spec.STR() }
 // STRn returns the STR(i) policy (§3.1.2).
 func STRn(i int) Policy { return spec.STRn(i) }
 
-// Trace recording and replay (the ATOM-methodology analogue): record a
-// run once, then drive the detector and its consumers from the file.
-type (
-	// TraceWriter streams events to a trace file.
-	TraceWriter = tracefile.Writer
-	// TraceReader replays a recorded trace file.
-	TraceReader = tracefile.Reader
-)
-
-// NewTraceWriter writes a trace-file header (embedding the program) and
-// returns a writer that implements the trace consumer interface.
-func NewTraceWriter(w io.Writer, p *program.Program) (*TraceWriter, error) {
-	return tracefile.NewWriter(w, p)
-}
-
-// NewTraceReader opens a recorded trace for replay.
-func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	return tracefile.NewReader(r)
-}
-
 // The replay tier: a directory archive of CRC-framed recordings, one
 // per (benchmark, seed), and the record-or-replay orchestration that
 // serves MultiRun-shaped work from it. Set ExperimentConfig.Traces (or
@@ -351,10 +264,8 @@ type (
 	// TraceArchive is the on-disk recording archive with its in-memory
 	// validated index.
 	TraceArchive = tracefile.Archive
-	// TraceRecording is one loaded (benchmark, seed) recording.
-	TraceRecording = tracefile.Recording
 	// TraceDecoder is a reusable replay scratch buffer; a warmed decoder
-	// makes TraceRecording.Replay allocation-free.
+	// makes a recording's Replay allocation-free.
 	TraceDecoder = tracefile.Decoder
 	// Traces is the replay tier over an archive; wire it into an
 	// ExperimentConfig.
@@ -370,57 +281,6 @@ func OpenTraceArchive(dir string) (*TraceArchive, error) {
 
 // NewTraces wraps an opened archive in the replay tier.
 func NewTraces(a *TraceArchive) *Traces { return harness.NewTraces(a) }
-
-// The grid-serving subsystem: a persistent result store, the HTTP
-// daemon behind `dynloop serve`, and its Go client. Cell results cross
-// the store and the wire in the same versioned binary frames
-// (internal/codec), so a persisted or remotely computed cell is
-// byte-identical to a local one.
-type (
-	// Store is the content-addressed, crash-safe on-disk result store:
-	// append-only segment files with CRC-framed records, addressed by
-	// the cell's full configuration key.
-	Store = store.Store
-	// StoreOptions tune a Store.
-	StoreOptions = store.Options
-	// StoreStats are the store's on-disk and lifetime counters.
-	StoreStats = store.Stats
-	// RunnerCache is the pluggable second result tier behind a Runner's
-	// in-memory cache (see NewStoreCache).
-	RunnerCache = runner.Cache
-	// Server is the grid-serving HTTP daemon over a shared Runner and
-	// an optional Store.
-	Server = server.Server
-	// ServerConfig parametrises a Server.
-	ServerConfig = server.Config
-	// Client talks to a Server.
-	Client = client.Client
-	// SweepRequest asks a Server for one benchmark × policy × TUs grid.
-	SweepRequest = wire.SweepRequest
-)
-
-// OpenStore opens (creating if needed) an on-disk result store, scans
-// its segments to rebuild the index, and recovers from a torn tail
-// left by a crash.
-func OpenStore(dir string, opts StoreOptions) (*Store, error) { return store.Open(dir, opts) }
-
-// NewStoreCache adapts a Store into a Runner's second cache tier: set
-// it as RunnerConfig.Cache and every computed cell persists, every
-// repeat cell is served from disk without a traversal.
-func NewStoreCache(s *Store) RunnerCache { return store.NewCache(s) }
-
-// NewServer builds a grid-serving daemon; serve its Handler (or call
-// ListenAndServe) to accept remote sweeps over the shared Runner.
-func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// NewClient returns a client for a daemon at base (e.g.
-// "http://127.0.0.1:9090"); nil selects http.DefaultClient.
-func NewClient(base string) *Client { return client.New(base, nil) }
-
-// NewOracleRecorder returns an observer that records every execution's
-// true iteration count, for EngineConfig.OracleIters (perfect-prediction
-// upper-bound studies).
-func NewOracleRecorder() *spec.OracleRecorder { return spec.NewOracleRecorder() }
 
 // NewBranchPredictorSuite returns the conventional branch-prediction
 // baseline (BTFN, bimodal, gshare) as a raw-stream consumer — attach it

@@ -1,8 +1,9 @@
 // Package client is the Go client for the `dynloop serve` daemon
-// (internal/server). It speaks the internal/wire protocol: sweep
-// results come back as the same codec frames the daemon's store
-// persists, so a remote sweep decodes to exactly the rows a local run
-// computes — `dynloop sweep -remote URL` renders byte-identical output.
+// (internal/server). It speaks the internal/wire protocol: grid cells
+// come back as the same codec frames the daemon's store persists, so a
+// remote grid decodes to exactly the values a local run computes —
+// `dynloop grid -remote URL` and `dynloop sweep -remote URL` render
+// byte-identical output.
 package client
 
 import (
@@ -20,7 +21,6 @@ import (
 	"time"
 
 	"dynloop/internal/codec"
-	"dynloop/internal/expt"
 	"dynloop/internal/obs"
 	"dynloop/internal/wire"
 )
@@ -82,34 +82,6 @@ func apiError(resp *http.Response) error {
 		return fmt.Errorf("client: %s: %s", resp.Status, msg)
 	}
 	return fmt.Errorf("client: %s", resp.Status)
-}
-
-// Sweep submits a grid request and decodes the resulting rows — one
-// per benchmark × policy × TUs cell, in benchmark-major order, exactly
-// as expt.Sweep returns them locally.
-func (c *Client) Sweep(ctx context.Context, req wire.SweepRequest) ([]expt.SweepRow, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/sweep", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	grid, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeGrid(grid)
 }
 
 // Grid submits a declarative grid request (a registered name or an

@@ -270,8 +270,10 @@ func (s SweepSpec) tus() []int {
 	return s.TUs
 }
 
-// gridSpec lowers the sweep selection onto the registered "sweep" grid.
-func (s SweepSpec) gridSpec() grid.Spec {
+// GridSpec lowers the sweep selection onto the registered "sweep" grid:
+// the result keeps the name "sweep", so grid.RenderResult renders it
+// with RenderSweep.
+func (s SweepSpec) GridSpec() grid.Spec {
 	e, _ := grid.Lookup("sweep")
 	gs := e.Spec
 	gs.Policies = policyNames(s.policies())
@@ -292,7 +294,7 @@ type SweepRow struct {
 // benchmark's whole policy × TUs column fused into one traversal. It is
 // the workhorse behind `dynloop sweep` and the scale-out benchmark.
 func Sweep(ctx context.Context, cfg Config, sw SweepSpec) ([]SweepRow, error) {
-	res, err := grid.Run(ctx, cfg, sw.gridSpec())
+	res, err := grid.Run(ctx, cfg, sw.GridSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -326,12 +328,6 @@ func RenderSweep(rows []SweepRow) string {
 		t.AddRow(r.Bench, r.Policy, r.TUs, r.M.TPC(), r.M.HitRatio(), r.M.SpecEvents, r.M.ThreadsPerSpec())
 	}
 	return t.String()
-}
-
-// SweepGridSize reports how many cells a spec expands to under cfg, for
-// progress displays.
-func SweepGridSize(cfg Config, sw SweepSpec) (int, error) {
-	return sw.gridSpec().Size(cfg)
 }
 
 // ParsePolicies turns CLI policy names (idle, str, strN — the canonical

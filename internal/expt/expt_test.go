@@ -165,7 +165,11 @@ func TestSweepGrid(t *testing.T) {
 	if RenderSweep(rows) == "" {
 		t.Fatal("empty sweep render")
 	}
-	n, err := SweepGridSize(cfg, SweepSpec{})
+	gs := SweepSpec{}.GridSpec()
+	if gs.Name != "sweep" {
+		t.Fatalf("lowered spec named %q, want sweep", gs.Name)
+	}
+	n, err := gs.Size(cfg)
 	if err != nil || n != 2*5*4 {
 		t.Fatalf("default grid size = %d (%v), want 40", n, err)
 	}

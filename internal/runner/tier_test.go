@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -45,9 +46,11 @@ func (c *fakeCache) Put(key string, v any) error {
 	return nil
 }
 
-func intJob(key string, v int, ran *int) Job[int] {
+// intJob returns a job yielding v that counts its executions in ran;
+// workers run jobs concurrently, so the count is atomic.
+func intJob(key string, v int, ran *atomic.Int64) Job[int] {
 	return Job[int]{Key: key, Run: func(context.Context) (int, error) {
-		*ran++
+		ran.Add(1)
 		return v, nil
 	}}
 }
@@ -56,14 +59,14 @@ func TestMapWritesBackAndHitsDiskTier(t *testing.T) {
 	c := newFakeCache()
 	ctx := context.Background()
 
-	var ran int
+	var ran atomic.Int64
 	r1 := New(Config{Workers: 2, Cache: c})
 	out, err := Map(ctx, r1, []Job[int]{intJob("a", 1, &ran), intJob("b", 2, &ran)})
 	if err != nil || out[0] != 1 || out[1] != 2 {
 		t.Fatalf("first run: %v %v", out, err)
 	}
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2", ran)
+	if ran.Load() != 2 {
+		t.Fatalf("ran = %d, want 2", ran.Load())
 	}
 	if s := r1.Stats(); s.DiskPuts != 2 || s.DiskHits != 0 {
 		t.Fatalf("first-run stats = %+v", s)
@@ -75,8 +78,8 @@ func TestMapWritesBackAndHitsDiskTier(t *testing.T) {
 	if err != nil || out[0] != 1 || out[1] != 2 {
 		t.Fatalf("second run: %v %v", out, err)
 	}
-	if ran != 2 {
-		t.Fatalf("tier hit still executed: ran = %d", ran)
+	if ran.Load() != 2 {
+		t.Fatalf("tier hit still executed: ran = %d", ran.Load())
 	}
 	if s := r2.Stats(); s.DiskHits != 2 || s.Executed != 0 {
 		t.Fatalf("second-run stats = %+v", s)
@@ -151,11 +154,11 @@ func TestTierErrorsReadAsMisses(t *testing.T) {
 	c := newFakeCache()
 	c.getErr = errors.New("disk on fire")
 	ctx := context.Background()
-	var ran int
+	var ran atomic.Int64
 	r := New(Config{Workers: 1, Cache: c})
 	out, err := Map(ctx, r, []Job[int]{intJob("a", 7, &ran)})
-	if err != nil || out[0] != 7 || ran != 1 {
-		t.Fatalf("run with failing tier: %v %v ran=%d", out, err, ran)
+	if err != nil || out[0] != 7 || ran.Load() != 1 {
+		t.Fatalf("run with failing tier: %v %v ran=%d", out, err, ran.Load())
 	}
 	s := r.Stats()
 	if s.TierErrors == 0 {
@@ -180,11 +183,11 @@ func TestStaleTypeFromTier(t *testing.T) {
 
 	// Map: self-invalidates — recomputes the cell and overwrites the
 	// stale entry; the tier must never fail a job.
-	var ran int
+	var ran atomic.Int64
 	r := New(Config{Workers: 1, Cache: c})
 	out, err := Map(ctx, r, []Job[int]{intJob("k", 1, &ran)})
-	if err != nil || out[0] != 1 || ran != 1 {
-		t.Fatalf("Map with stale-typed tier value: %v %v ran=%d", out, err, ran)
+	if err != nil || out[0] != 1 || ran.Load() != 1 {
+		t.Fatalf("Map with stale-typed tier value: %v %v ran=%d", out, err, ran.Load())
 	}
 	if v, _, _ := c.Get("k"); v != 1 {
 		t.Fatalf("stale tier entry not overwritten by Map: %v", v)
@@ -222,14 +225,14 @@ func TestDiskHitEmitsCachedEvent(t *testing.T) {
 		kinds = append(kinds, ev.Kind)
 		mu.Unlock()
 	}})
-	var ran int
+	var ran atomic.Int64
 	if _, err := Map(ctx, r, []Job[int]{intJob("k", 1, &ran)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(kinds) != 1 || kinds[0] != JobCached {
 		t.Fatalf("events = %v, want one JobCached", kinds)
 	}
-	if ran != 0 {
+	if ran.Load() != 0 {
 		t.Fatal("disk hit still executed the job")
 	}
 }
@@ -238,7 +241,7 @@ func TestUncacheableJobsSkipTier(t *testing.T) {
 	ctx := context.Background()
 	c := newFakeCache()
 	r := New(Config{Workers: 1, Cache: c})
-	var ran int
+	var ran atomic.Int64
 	if _, err := Map(ctx, r, []Job[int]{intJob("", 3, &ran)}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"dynloop/internal/client"
+	"dynloop/internal/expt"
+	"dynloop/internal/spec"
 	"dynloop/internal/store"
-	"dynloop/internal/wire"
 )
 
 // BenchmarkHotSweep measures the daemon's hot path: a sweep whose every
 // cell sits in the runner's memory tier — the millionth identical
-// query. Cost = HTTP round trip + grid encode/decode; no traversal, no
+// query. Cost = HTTP round trip + cells encode/decode; no traversal, no
 // disk.
 func BenchmarkHotSweep(b *testing.B) {
 	benchHotSweep(b, Config{Workers: 4})
@@ -37,21 +38,17 @@ func benchHotSweep(b *testing.B, cfg Config) {
 	defer hs.Close()
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
-	req := wire.SweepRequest{
-		Benchmarks: []string{"swim", "compress"},
-		Policies:   []string{"str", "str3"},
-		TUs:        []int{2, 4},
-		Budget:     200_000,
-	}
+	gcfg := testCfg
+	gcfg.Budget = 200_000
 	// Warm every tier before timing.
-	rows, err := c.Sweep(ctx, req)
+	res, err := runGrid(ctx, c, gcfg, testSweep)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(len(rows)), "cells/req")
+	b.ReportMetric(float64(len(res.Values)), "cells/req")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Sweep(ctx, req); err != nil {
+		if _, err := runGrid(ctx, c, gcfg, testSweep); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,9 +66,8 @@ func BenchmarkCellQuery(b *testing.B) {
 	defer hs.Close()
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
-	if _, err := c.Sweep(ctx, wire.SweepRequest{
-		Benchmarks: []string{"swim"}, Policies: []string{"str3"}, TUs: []int{4}, Budget: 100_000,
-	}); err != nil {
+	one := expt.SweepSpec{Policies: []spec.Policy{spec.STRn(3)}, TUs: []int{4}}.GridSpec()
+	if _, err := runGrid(ctx, c, expt.Config{Budget: 100_000, Benchmarks: []string{"swim"}}, one); err != nil {
 		b.Fatal(err)
 	}
 	keys := st.Keys()

@@ -29,7 +29,7 @@ func TestMetricsReconcileWithRunnerStats(t *testing.T) {
 	}
 	rsBefore := s.Runner().Stats()
 
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := runGrid(ctx, c, testCfg, testSweep); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,11 +53,11 @@ func TestMetricsReconcileWithRunnerStats(t *testing.T) {
 			t.Errorf("%s moved by %v, runner stats moved by %d", ck.series, got, ck.want)
 		}
 	}
-	if d := metricDelta(before, after, `dynloop_http_requests_total{endpoint="/v1/sweep"}`); d != 1 {
-		t.Errorf("sweep request counter moved by %v, want 1", d)
+	if d := metricDelta(before, after, `dynloop_http_requests_total{endpoint="/v1/grid"}`); d != 1 {
+		t.Errorf("grid request counter moved by %v, want 1", d)
 	}
-	if d := metricDelta(before, after, `dynloop_http_request_seconds_count{endpoint="/v1/sweep"}`); d != 1 {
-		t.Errorf("sweep latency histogram count moved by %v, want 1", d)
+	if d := metricDelta(before, after, `dynloop_http_request_seconds_count{endpoint="/v1/grid"}`); d != 1 {
+		t.Errorf("grid latency histogram count moved by %v, want 1", d)
 	}
 	if d := metricDelta(before, after, "dynloop_interp_instructions_total"); d <= 0 {
 		t.Errorf("interp instruction counter did not move (delta %v)", d)
@@ -69,7 +69,7 @@ func TestMetricsReconcileWithRunnerStats(t *testing.T) {
 func TestStatsEndpointExtended(t *testing.T) {
 	ctx := context.Background()
 	_, c := newTestDaemon(t, Config{Workers: 2})
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := runGrid(ctx, c, testCfg, testSweep); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats(ctx)
@@ -104,7 +104,7 @@ func TestShedCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Sweep(ctx, testReq); err == nil {
+	if _, err := runGrid(ctx, c, testCfg, testSweep); err == nil {
 		t.Fatal("oversized sweep unexpectedly succeeded")
 	}
 	after, err := c.Metrics(ctx)
@@ -143,13 +143,13 @@ func TestRequestLogging(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	_, c := newTestDaemon(t, Config{Workers: 2, Logger: logger})
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := runGrid(ctx, c, testCfg, testSweep); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		out := buf.String()
-		if strings.Contains(out, `"endpoint":"/v1/sweep"`) {
+		if strings.Contains(out, `"endpoint":"/v1/grid"`) {
 			if !strings.Contains(out, `"cells":"8"`) {
 				t.Fatalf("sweep log record missing cell count in:\n%s", out)
 			}

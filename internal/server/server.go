@@ -1,6 +1,6 @@
 // Package server is the grid-serving daemon behind `dynloop serve`: a
 // long-lived HTTP front end over one shared Runner and one persistent
-// result store. Every client sweep fans into the same bounded worker
+// result store. Every client grid fans into the same bounded worker
 // semaphore and the same memory→disk cache hierarchy, so concurrent
 // clients asking overlapping questions — the normal shape of a shared
 // configuration grid — cost one execution per distinct cell, and a
@@ -8,7 +8,6 @@
 //
 // Endpoints:
 //
-//	POST /v1/sweep   JSON wire.SweepRequest → binary wire grid
 //	POST /v1/grid    JSON wire.GridRequest (named or inline grid.Spec)
 //	                 → binary wire cells payload, in canonical cell order
 //	GET  /v1/grids   JSON listing of the registered grid specs
@@ -50,12 +49,12 @@ type Config struct {
 	// Store, when non-nil, is the persistent result tier. The server
 	// does not close it.
 	Store *store.Store
-	// MaxInflight bounds concurrently computed sweep requests (each may
+	// MaxInflight bounds concurrently computed grid requests (each may
 	// expand to many cells; the cells themselves additionally ride the
 	// worker semaphore). 0 selects 2×workers. Excess requests queue
 	// until a slot frees or the client gives up.
 	MaxInflight int
-	// MaxCells rejects sweep requests expanding to more cells than
+	// MaxCells rejects grid requests expanding to more cells than
 	// this, protecting the daemon from accidental mega-grids.
 	// 0 selects DefaultMaxCells.
 	MaxCells int
@@ -87,7 +86,7 @@ type Config struct {
 	QueueWait time.Duration
 }
 
-// DefaultMaxCells bounds the grid size of one sweep request.
+// DefaultMaxCells bounds the grid size of one grid request.
 const DefaultMaxCells = 100_000
 
 // DefaultQueueWait bounds how long a request queues for an inflight
@@ -173,7 +172,6 @@ func (s *Server) Runner() *runner.Runner { return s.runner }
 // (and, when configured, request-logging) middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
 	mux.HandleFunc("POST /v1/grid", s.instrument("/v1/grid", s.handleGrid))
 	mux.HandleFunc("GET /v1/grids", s.instrument("/v1/grids", s.handleGrids))
 	mux.HandleFunc("GET /v1/cell", s.instrument("/v1/cell", s.handleCell))
@@ -287,77 +285,6 @@ func (s *Server) acquire(ctx context.Context) error {
 		mHTTPShed.Inc()
 		return ctx.Err()
 	}
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	// Sweep requests are tiny; cap the body so no client can balloon
-	// the long-lived daemon's memory before validation runs.
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	var req wire.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	cfg := expt.Config{
-		Budget:     req.Budget,
-		Seed:       req.Seed,
-		Benchmarks: req.Benchmarks,
-		BatchSize:  req.BatchSize,
-		Runner:     s.runner,
-		Traces:     s.cfg.Traces,
-	}
-	var sw expt.SweepSpec
-	if len(req.Policies) > 0 {
-		pols, err := expt.ParsePolicies(req.Policies)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		sw.Policies = pols
-	}
-	sw.TUs = req.TUs
-	for _, k := range req.TUs {
-		if k < 0 {
-			httpError(w, http.StatusBadRequest, "negative TU count %d", k)
-			return
-		}
-	}
-	cells, err := expt.SweepGridSize(cfg, sw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if cells > s.maxCells {
-		shed(w, "grid of %d cells exceeds the daemon's limit of %d", cells, s.maxCells)
-		return
-	}
-	if err := s.acquire(r.Context()); err != nil {
-		if errors.Is(err, errQueueFull) {
-			shed(w, "daemon at max inflight for %v; retry shortly", s.queueWait)
-		}
-		return // otherwise the client went away while queued
-	}
-	defer func() { <-s.inflight }()
-	rows, err := expt.Sweep(r.Context(), cfg, sw)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Daemon shutdown past its grace window (or the client hung
-			// up — then nobody reads this). An explicit status beats an
-			// empty 200 the client would misread as a corrupt grid.
-			httpError(w, http.StatusServiceUnavailable, "sweep canceled: %v", err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "sweep failed: %v", err)
-		return
-	}
-	body, err := wire.AppendGrid(nil, rows)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding grid: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Dynloop-Cells", fmt.Sprint(len(rows)))
-	w.Write(body)
 }
 
 // handleGrid executes one declarative grid — a registered spec by name

@@ -16,24 +16,40 @@ import (
 	"dynloop/internal/wire"
 )
 
-var testReq = wire.SweepRequest{
-	Benchmarks: []string{"swim", "compress"},
-	Policies:   []string{"str", "str3"},
-	TUs:        []int{2, 4},
-	Budget:     50_000,
+// testCfg and testSweep are the small grid most daemon tests share: the
+// registered sweep narrowed to 2 benchmarks × 2 policies × 2 TU counts
+// at a 50k budget.
+var (
+	testCfg       = expt.Config{Budget: 50_000, Benchmarks: []string{"swim", "compress"}}
+	testSweepSpec = expt.SweepSpec{Policies: []spec.Policy{spec.STR(), spec.STRn(3)}, TUs: []int{2, 4}}
+	testSweep     = testSweepSpec.GridSpec()
+)
+
+// runGrid executes gs on the daemon (POST /v1/grid, spec inline) under
+// cfg's defaults and pairs the returned values with the spec's cell
+// expansion, the way `dynloop sweep -remote` does.
+func runGrid(ctx context.Context, c *client.Client, cfg expt.Config, gs grid.Spec) (*grid.Result, error) {
+	values, err := c.Grid(ctx, wire.GridRequest{
+		Spec:       &gs,
+		Benchmarks: cfg.Benchmarks,
+		Budget:     cfg.Budget,
+		Seed:       cfg.Seed,
+		BatchSize:  cfg.BatchSize,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return grid.ResultFrom(cfg, gs, values)
 }
 
-func testCfg(req wire.SweepRequest) expt.Config {
-	return expt.Config{Budget: req.Budget, Seed: req.Seed, Benchmarks: req.Benchmarks, BatchSize: req.BatchSize}
-}
-
-func testSpec(t *testing.T, req wire.SweepRequest) expt.SweepSpec {
+// render formats a grid result, failing the test on error.
+func render(t *testing.T, res *grid.Result) string {
 	t.Helper()
-	pols, err := expt.ParsePolicies(req.Policies)
+	out, err := grid.RenderResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return expt.SweepSpec{Policies: pols, TUs: req.TUs}
+	return out
 }
 
 // newTestDaemon starts a daemon over httptest and returns a client.
@@ -50,9 +66,9 @@ func newTestDaemon(t *testing.T, cfg Config) (*Server, *client.Client) {
 // at 8 workers.
 func TestRemoteSweepByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	localCfg := testCfg(testReq)
+	localCfg := testCfg
 	localCfg.Parallel = 1
-	localRows, err := expt.Sweep(ctx, localCfg, testSpec(t, testReq))
+	localRows, err := expt.Sweep(ctx, localCfg, testSweepSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +76,11 @@ func TestRemoteSweepByteIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		_, c := newTestDaemon(t, Config{Workers: workers})
-		rows, err := c.Sweep(ctx, testReq)
+		res, err := runGrid(ctx, c, testCfg, testSweep)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := expt.RenderSweep(rows); got != want {
+		if got := render(t, res); got != want {
 			t.Fatalf("workers=%d: remote render differs:\n%s\nwant:\n%s", workers, got, want)
 		}
 	}
@@ -75,11 +91,11 @@ func TestRemoteSweepByteIdentical(t *testing.T) {
 func TestDaemonSharesCellsAcrossClients(t *testing.T) {
 	ctx := context.Background()
 	s, c := newTestDaemon(t, Config{Workers: 4})
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := runGrid(ctx, c, testCfg, testSweep); err != nil {
 		t.Fatal(err)
 	}
 	executed := s.Runner().Stats().Executed
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := runGrid(ctx, c, testCfg, testSweep); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Runner().Stats()
@@ -102,7 +118,7 @@ func TestDaemonStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, c1 := newTestDaemon(t, Config{Workers: 4, Store: st1})
-	rows1, err := c1.Sweep(ctx, testReq)
+	res1, err := runGrid(ctx, c1, testCfg, testSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +132,11 @@ func TestDaemonStoreTier(t *testing.T) {
 	}
 	t.Cleanup(func() { st2.Close() })
 	s2, c2 := newTestDaemon(t, Config{Workers: 4, Store: st2})
-	rows2, err := c2.Sweep(ctx, testReq)
+	res2, err := runGrid(ctx, c2, testCfg, testSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if expt.RenderSweep(rows1) != expt.RenderSweep(rows2) {
+	if render(t, res1) != render(t, res2) {
 		t.Fatal("store-served sweep differs from computed sweep")
 	}
 	rs := s2.Runner().Stats()
@@ -139,8 +155,8 @@ func TestDaemonStoreTier(t *testing.T) {
 }
 
 // TestCellQuery: a persisted cell is queryable by its full
-// configuration key and decodes to the exact metrics the sweep row
-// carried.
+// configuration key and decodes to the exact metrics the grid
+// returned for it.
 func TestCellQuery(t *testing.T) {
 	ctx := context.Background()
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -149,13 +165,13 @@ func TestCellQuery(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	_, c := newTestDaemon(t, Config{Workers: 2, Store: st})
-	rows, err := c.Sweep(ctx, testReq)
+	res, err := runGrid(ctx, c, testCfg, testSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := st.Keys()
-	if len(keys) != len(rows) {
-		t.Fatalf("store has %d keys for %d rows", len(keys), len(rows))
+	if len(keys) != len(res.Values) {
+		t.Fatalf("store has %d keys for %d cells", len(keys), len(res.Values))
 	}
 	found := 0
 	for _, key := range keys {
@@ -167,15 +183,15 @@ func TestCellQuery(t *testing.T) {
 		if !ok {
 			t.Fatalf("Cell(%q) decoded to %T", key, v)
 		}
-		for _, r := range rows {
-			if r.M == m {
+		for _, v := range res.Values {
+			if v == m {
 				found++
 				break
 			}
 		}
 	}
 	if found != len(keys) {
-		t.Fatalf("only %d of %d cell queries matched a sweep row", found, len(keys))
+		t.Fatalf("only %d of %d cell queries matched a grid cell", found, len(keys))
 	}
 	if _, err := c.Cell(ctx, "no such key"); !errors.Is(err, client.ErrNotFound) {
 		t.Fatalf("absent key: %v", err)
@@ -200,7 +216,7 @@ func TestEventsStream(t *testing.T) {
 	}()
 	// Give the subscription a moment to attach before generating events.
 	time.Sleep(50 * time.Millisecond)
-	if _, err := c.Sweep(ctx, testReq); err != nil {
+	if _, err := runGrid(ctx, c, testCfg, testSweep); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)
@@ -261,19 +277,25 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestSweepValidation: bad requests fail fast with useful statuses.
+// TestSweepValidation: bad sweep grids fail fast with useful statuses.
 func TestSweepValidation(t *testing.T) {
 	ctx := context.Background()
 	_, c := newTestDaemon(t, Config{Workers: 1, MaxCells: 4})
-	cases := []wire.SweepRequest{
-		{Benchmarks: []string{"nope"}, Budget: 1000},
-		{Policies: []string{"warp-drive"}, Budget: 1000},
-		{TUs: []int{-1}, Budget: 1000},
-		{Budget: 1000}, // full default grid exceeds MaxCells=4
+	cfg := expt.Config{Budget: 1000}
+	badPolicy := expt.SweepSpec{}.GridSpec()
+	badPolicy.Policies = []string{"warp-drive"}
+	cases := []struct {
+		cfg expt.Config
+		gs  grid.Spec
+	}{
+		{expt.Config{Budget: 1000, Benchmarks: []string{"nope"}}, expt.SweepSpec{}.GridSpec()},
+		{cfg, badPolicy},
+		{cfg, expt.SweepSpec{TUs: []int{-1}}.GridSpec()},
+		{cfg, expt.SweepSpec{}.GridSpec()}, // full default grid exceeds MaxCells=4
 	}
-	for i, req := range cases {
-		if _, err := c.Sweep(ctx, req); err == nil {
-			t.Errorf("case %d accepted: %+v", i, req)
+	for i, tc := range cases {
+		if _, err := runGrid(ctx, c, tc.cfg, tc.gs); err == nil {
+			t.Errorf("case %d accepted: %+v", i, tc)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dynloop/internal/client"
+	"dynloop/internal/expt"
 	"dynloop/internal/grid"
 	"dynloop/internal/store"
 	"dynloop/internal/wire"
@@ -150,7 +151,7 @@ func TestShedTypedError(t *testing.T) {
 
 	// Oversized grid.
 	_, c := newTestDaemon(t, Config{Workers: 1, MaxCells: 4})
-	_, err := c.Sweep(ctx, wire.SweepRequest{Budget: 1000})
+	_, err := runGrid(ctx, c, expt.Config{Budget: 1000}, expt.SweepSpec{}.GridSpec())
 	var shed *client.ErrShed
 	if !errors.As(err, &shed) {
 		t.Fatalf("oversized sweep returned %v, want *client.ErrShed", err)
@@ -162,7 +163,7 @@ func TestShedTypedError(t *testing.T) {
 	// Queue-wait timeout: one slot, held by a phantom foreground request.
 	s2, c2 := newTestDaemon(t, Config{Workers: 1, MaxInflight: 1, QueueWait: 20 * time.Millisecond})
 	s2.inflight <- struct{}{}
-	_, err = c2.Sweep(ctx, testReq)
+	_, err = runGrid(ctx, c2, testCfg, testSweep)
 	shed = nil
 	if !errors.As(err, &shed) {
 		t.Fatalf("queued-out sweep returned %v, want *client.ErrShed", err)

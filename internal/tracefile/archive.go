@@ -1,3 +1,9 @@
+// Package tracefile records and replays instruction traces. It is the
+// analogue of the paper's ATOM methodology: run a program once, keep the
+// trace, and drive the loop detector and its consumers from the recording
+// as many times as needed (e.g. to sweep table sizes without
+// re-executing). The program is embedded in every recording, so replay
+// resolves trace.Event.Instr pointers without the workload generator.
 package tracefile
 
 // The replay archive: a directory of immutable, CRC-framed recordings,
@@ -13,7 +19,7 @@ package tracefile
 //	uvarint  archive schema version
 //	uvarint  benchmark name length, then that many bytes
 //	uvarint  seed
-//	program  image (same encoding as the v2 trace file)
+//	program  image (see appendProgram in codec.go)
 //	blocks:  tag 0xFE, uvarint event count, uvarint payload length,
 //	         uvarint start pc (the pc of the block's first event),
 //	         4-byte little-endian CRC32 (IEEE) of the payload, then
@@ -60,6 +66,25 @@ import (
 )
 
 const magicArch = "DLTARCH1\n"
+
+// Frame tags.
+const (
+	tagBlock   = 0xFE
+	tagTrailer = 0xFF
+)
+
+// blockTarget is the payload size at which the recorder seals a block.
+// 64 KiB keeps blocks small enough to decode inside L2 while making the
+// framing overhead negligible.
+const blockTarget = 1 << 16
+
+// maxBlockBytes bounds a single block allocation when reading untrusted
+// files; the recorder seals blocks just past blockTarget, so legitimate
+// blocks are far smaller.
+const maxBlockBytes = 1 << 20
+
+// ErrCorrupt reports a malformed or truncated recording.
+var ErrCorrupt = errors.New("tracefile: corrupt or truncated trace")
 
 // ArchiveSchemaVersion is the archive's logical schema version,
 // embedded in every file header. A reader skips files written under any

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dynloop/internal/builder"
+	"dynloop/internal/loopdet"
 	"dynloop/internal/trace"
 )
 
@@ -234,6 +235,50 @@ func TestArchiveTornTailRecovers(t *testing.T) {
 	}
 }
 
+// TestTruncation: every cut of the newest recording — inside the
+// magic, the header, a block or the trailer — either drops the file
+// (torn inside the header) or repairs it to a prefix that replays
+// exactly what interpretation produces; never a silent wrong stream.
+func TestTruncation(t *testing.T) {
+	full := t.TempDir()
+	recordInto(t, full, "arch", 0)
+	data, err := os.ReadFile(archFile(t, full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := 0
+	for _, cut := range []int{0, 3, len(magicArch), len(magicArch) + 5, len(data) / 2, len(data) - 1} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(archFile(t, full))), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		a, err := OpenArchive(dir)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		rec, ok := a.Lookup("arch", 1)
+		if !ok {
+			continue // torn inside the header: nothing salvageable
+		}
+		if rec.Halted() {
+			t.Fatalf("cut %d: repaired recording claims halted", cut)
+		}
+		wantHash, wantN, _ := liveHash(t, "arch", rec.Events())
+		h := trace.NewHash()
+		gotN, _, err := rec.Replay(rec.Events(), nil, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotN != wantN || h.Sum != wantHash {
+			t.Fatalf("cut %d: repaired prefix diverges from interpretation", cut)
+		}
+		recovered++
+	}
+	if recovered < 2 {
+		t.Fatalf("only %d cuts recovered a prefix; the block and trailer cuts must", recovered)
+	}
+}
+
 // TestArchiveTornNonNewestErrors: a torn frame on anything but the
 // newest file is not a crash tail — it is corruption and must surface
 // as a typed error.
@@ -374,6 +419,69 @@ func TestArchiveStructuralCorruptionErrors(t *testing.T) {
 		if _, err := OpenArchive(dir); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestBadMagic: a foreign file in the archive directory is structural
+// damage, not a recording — also when it is shorter than the magic and
+// so could pass for a tear inside it.
+func TestBadMagic(t *testing.T) {
+	for _, data := range []string{"not a trace file at all", "junk"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "foreign.dltrace"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenArchive(dir); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%q: err = %v, want ErrCorrupt", data, err)
+		}
+	}
+}
+
+// TestCorruptTrailerCount: a trailer whose event count disagrees with
+// the blocks before it is structural damage, not a torn tail.
+func TestCorruptTrailerCount(t *testing.T) {
+	dir := t.TempDir()
+	recordInto(t, dir, "arch", 0)
+	path := archFile(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trailer ends with the count's last varint byte, then the
+	// halted flag; flip the count's low bit.
+	data[len(data)-2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenArchive(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReplayDrivesDetector: detector results from a replayed recording
+// must equal detector results from live execution.
+func TestReplayDrivesDetector(t *testing.T) {
+	a, _, _, _ := recordInto(t, t.TempDir(), "arch", 0)
+	u := buildArchUnit(t, "arch")
+	live := loopdet.New(loopdet.Config{Capacity: 16})
+	if _, err := u.NewCPU().Run(0, live); err != nil {
+		t.Fatal(err)
+	}
+	live.Flush()
+
+	rec, ok := a.Lookup("arch", 1)
+	if !ok {
+		t.Fatal("recording not found")
+	}
+	replayed := loopdet.New(loopdet.Config{Capacity: 16})
+	if _, _, err := rec.Replay(0, nil, replayed); err != nil {
+		t.Fatal(err)
+	}
+	replayed.Flush()
+
+	if live.Stats() != replayed.Stats() {
+		t.Fatalf("detector stats diverge:\nlive:   %+v\nreplay: %+v",
+			live.Stats(), replayed.Stats())
 	}
 }
 

@@ -1,28 +1,18 @@
 package tracefile
 
-// Shared encode/decode primitives for the single-file trace format (v1/v2)
-// and the replay archive: the program image and the packed event records
-// are byte-identical across both containers, so the Writer/Reader pair and
-// the Archive share these helpers instead of each owning a copy.
+// Encode/decode primitives of the replay archive: the embedded program
+// image and the packed event records of each block.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"dynloop/internal/isa"
 	"dynloop/internal/program"
 	"dynloop/internal/trace"
 )
-
-// byteSource is the reader subset the header decoders need; both
-// bufio.Reader (streaming trace files) and bytes.Reader (in-memory
-// archives) satisfy it.
-type byteSource interface {
-	io.ByteReader
-	io.Reader
-}
 
 // maxInstrs bounds the embedded program size when reading untrusted
 // files.
@@ -52,7 +42,7 @@ func appendProgram(buf []byte, p *program.Program) []byte {
 // readProgram decodes and validates a program image. Errors wrap both
 // ErrCorrupt and the underlying cause, so callers can distinguish a
 // truncated source (io.EOF / io.ErrUnexpectedEOF) from malformed bytes.
-func readProgram(br byteSource) (*program.Program, error) {
+func readProgram(br *bytes.Reader) (*program.Program, error) {
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: name: %w", ErrCorrupt, err)
@@ -109,143 +99,6 @@ func readProgram(br byteSource) (*program.Program, error) {
 		return nil, fmt.Errorf("%w: embedded program: %v", ErrCorrupt, err)
 	}
 	return p, nil
-}
-
-// appendEvent encodes one packed event record onto b: a tag byte (taken /
-// wroteReg / hasMem bits), the pc, then the optional fields the tag
-// announces. hasMem is derived from the instruction kind, exactly as the
-// decoder rederives it, so a decoded event is field-identical to the
-// interpreted one.
-func appendEvent(b []byte, ev *trace.Event) []byte {
-	var tag byte
-	if ev.Taken {
-		tag |= tagTaken
-	}
-	if ev.WroteReg {
-		tag |= tagWroteReg
-	}
-	hasMem := ev.Instr.Kind.TouchesMem()
-	if hasMem {
-		tag |= tagHasMem
-	}
-	b = append(b, tag)
-	b = binary.AppendUvarint(b, uint64(ev.PC))
-	if ev.Taken {
-		b = binary.AppendUvarint(b, uint64(ev.Target))
-	}
-	if ev.WroteReg {
-		b = binary.AppendUvarint(b, uint64(ev.WrittenReg))
-		b = binary.AppendVarint(b, ev.WrittenVal)
-	}
-	if hasMem {
-		b = binary.AppendUvarint(b, ev.MemAddr)
-		b = binary.AppendVarint(b, ev.MemVal)
-	}
-	return b
-}
-
-// contBits masks every byte's varint continuation bit in a 64-bit load.
-const contBits = 0x8080808080808080
-
-// keepBytes[k] masks a 64-bit load down to its first k+1 bytes.
-var keepBytes = [8]uint64{
-	0xff, 0xffff, 0xffffff, 0xffffffff,
-	0xffffffffff, 0xffffffffffff, 0xffffffffffffff, 0xffffffffffffffff,
-}
-
-// uvarintMultiAt handles multi-byte varints. Register values and heap
-// addresses make these common enough to matter, so varints of 2–8 bytes
-// decode branch-free from one 64-bit load: locate the terminating byte
-// with a bit scan, then compact the 7-bit groups.
-func uvarintMultiAt(b []byte, pos int) (uint64, int) {
-	if pos+8 <= len(b) {
-		x := binary.LittleEndian.Uint64(b[pos:])
-		if stops := ^x & contBits; stops != 0 {
-			k := bits.TrailingZeros64(stops) >> 3 // byte index of the final byte
-			x &= keepBytes[k&7]
-			x = x&0x7f | x>>1&(0x7f<<7) | x>>2&(0x7f<<14) | x>>3&(0x7f<<21) |
-				x>>4&(0x7f<<28) | x>>5&(0x7f<<35) | x>>6&(0x7f<<42) | x>>7&(0x7f<<49)
-			return x, pos + k + 1
-		}
-	}
-	v, k := binary.Uvarint(b[pos:])
-	if k <= 0 {
-		return 0, -1
-	}
-	return v, pos + k
-}
-
-// decodeEvents decodes len(evs) packed event records from blk into evs,
-// numbering them from base and resolving Instr pointers into code. When
-// full is set the records must consume blk exactly; a prefix decode
-// (budget truncation cutting a block mid-way) passes false and leaves the
-// remaining records unread.
-func decodeEvents(blk []byte, evs []trace.Event, base uint64, code []isa.Instr, full bool) error {
-	// The 1-byte varint fast path is hand-inlined at every field read:
-	// this loop is the replay tier's entire per-instruction cost, and a
-	// call per field is measurable at trace scale.
-	pos := 0
-	for i := range evs {
-		if uint(pos) >= uint(len(blk)) {
-			return fmt.Errorf("%w: block truncated at event %d", ErrCorrupt, i)
-		}
-		tag := blk[pos]
-		pos++
-		var pc uint64
-		if uint(pos) < uint(len(blk)) && blk[pos] < 0x80 {
-			pc, pos = uint64(blk[pos]), pos+1
-		} else if pc, pos = uvarintMultiAt(blk, pos); pos < 0 {
-			return fmt.Errorf("%w: pc at event %d", ErrCorrupt, i)
-		}
-		if pc >= uint64(len(code)) {
-			return fmt.Errorf("%w: pc at event %d", ErrCorrupt, i)
-		}
-		ev := &evs[i]
-		*ev = trace.Event{Index: base + uint64(i), PC: isa.Addr(pc), Instr: &code[pc]}
-		if tag&tagTaken != 0 {
-			var t uint64
-			if uint(pos) < uint(len(blk)) && blk[pos] < 0x80 {
-				t, pos = uint64(blk[pos]), pos+1
-			} else if t, pos = uvarintMultiAt(blk, pos); pos < 0 {
-				return fmt.Errorf("%w: target at event %d", ErrCorrupt, i)
-			}
-			ev.Taken, ev.Target = true, isa.Addr(t)
-		}
-		if tag&tagWroteReg != 0 {
-			var reg, uval uint64
-			if uint(pos) < uint(len(blk)) && blk[pos] < 0x80 {
-				reg, pos = uint64(blk[pos]), pos+1
-			} else if reg, pos = uvarintMultiAt(blk, pos); pos < 0 {
-				return fmt.Errorf("%w: reg at event %d", ErrCorrupt, i)
-			}
-			if uint(pos) < uint(len(blk)) && blk[pos] < 0x80 {
-				uval, pos = uint64(blk[pos]), pos+1
-			} else if uval, pos = uvarintMultiAt(blk, pos); pos < 0 {
-				return fmt.Errorf("%w: reg value at event %d", ErrCorrupt, i)
-			}
-			ev.WroteReg, ev.WrittenReg = true, isa.Reg(reg)
-			ev.WrittenVal = int64(uval>>1) ^ -int64(uval&1)
-		}
-		if tag&tagHasMem != 0 {
-			var addr, uval uint64
-			if uint(pos) < uint(len(blk)) && blk[pos] < 0x80 {
-				addr, pos = uint64(blk[pos]), pos+1
-			} else if addr, pos = uvarintMultiAt(blk, pos); pos < 0 {
-				return fmt.Errorf("%w: mem addr at event %d", ErrCorrupt, i)
-			}
-			if uint(pos) < uint(len(blk)) && blk[pos] < 0x80 {
-				uval, pos = uint64(blk[pos]), pos+1
-			} else if uval, pos = uvarintMultiAt(blk, pos); pos < 0 {
-				return fmt.Errorf("%w: mem value at event %d", ErrCorrupt, i)
-			}
-			ev.MemAddr = addr
-			ev.MemVal = int64(uval>>1) ^ -int64(uval&1)
-		}
-	}
-	if full && pos != len(blk) {
-		return fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, len(blk)-pos)
-	}
-	return nil
 }
 
 // --- packed event records (archive blocks) ---

@@ -1,22 +1,14 @@
 // Package wire is the grid-serving protocol shared by the HTTP daemon
 // (internal/server) and its Go client (internal/client): JSON request
-// envelopes, and a binary grid format whose cell payloads are the exact
+// envelopes, and a binary cells format whose payloads are the exact
 // codec frames the on-disk store persists — a cell crosses the network
 // in the same bytes it lives on disk in, so remote and local results
 // cannot drift.
 //
-// Grid format (little-endian, varint-based, after tracefile/store):
-//
-//	magic "DLGRID1\n"
-//	uvarint row count
-//	rows:   uvarint benchLen, bench, uvarint policyLen, policy,
-//	        uvarint TUs, uvarint frameLen, frame (a codec frame of
-//	        the cell's spec.Metrics)
-//
-// Cells format (the POST /v1/grid response — one codec frame per cell
-// of a declarative grid, in the spec's canonical cell order; the
-// coordinates never cross the wire because the spec expansion is
-// deterministic on both ends):
+// Cells format (little-endian, varint-based; the POST /v1/grid
+// response — one codec frame per cell of a declarative grid, in the
+// spec's canonical cell order; the coordinates never cross the wire
+// because the spec expansion is deterministic on both ends):
 //
 //	magic "DLCELL1\n"
 //	uvarint cell count
@@ -29,21 +21,16 @@ import (
 	"fmt"
 
 	"dynloop/internal/codec"
-	"dynloop/internal/expt"
 	"dynloop/internal/grid"
-	"dynloop/internal/spec"
 )
 
-const (
-	gridMagic  = "DLGRID1\n"
-	cellsMagic = "DLCELL1\n"
-)
+const cellsMagic = "DLCELL1\n"
 
-// maxGridRows bounds a single grid allocation when decoding untrusted
-// responses.
-const maxGridRows = 1 << 22
+// maxCells bounds a single allocation when decoding untrusted responses.
+const maxCells = 1 << 22
 
-// ErrCorrupt reports a malformed grid payload.
+// ErrCorrupt reports a malformed cells payload; every DecodeCells error
+// wraps it.
 var ErrCorrupt = errors.New("wire: corrupt grid payload")
 
 // GridRequest asks the daemon to execute one declarative grid: either a
@@ -102,7 +89,7 @@ func DecodeCells(b []byte) ([]any, error) {
 		return nil, fmt.Errorf("%w: bad cell count", ErrCorrupt)
 	}
 	pos += n
-	if count > maxGridRows {
+	if count > maxCells {
 		return nil, fmt.Errorf("%w: cell count %d", ErrCorrupt, count)
 	}
 	values := make([]any, 0, count)
@@ -117,7 +104,7 @@ func DecodeCells(b []byte) ([]any, error) {
 		}
 		v, err := codec.Decode(b[pos : pos+int(flen)])
 		if err != nil {
-			return nil, fmt.Errorf("wire: cell %d: %w", i, err)
+			return nil, fmt.Errorf("%w: cell %d: %w", ErrCorrupt, i, err)
 		}
 		pos += int(flen)
 		values = append(values, v)
@@ -126,19 +113,6 @@ func DecodeCells(b []byte) ([]any, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
 	}
 	return values, nil
-}
-
-// SweepRequest asks the daemon for one benchmark × policy × TUs grid.
-// Zero values select the same defaults as the local CLI path (all
-// benchmarks, the paper's five policies, 2–16 TUs, DefaultBudget,
-// seed 1), so a remote sweep reproduces `dynloop sweep` byte for byte.
-type SweepRequest struct {
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	Policies   []string `json:"policies,omitempty"`
-	TUs        []int    `json:"tus,omitempty"`
-	Budget     uint64   `json:"budget,omitempty"`
-	Seed       uint64   `json:"seed,omitempty"`
-	BatchSize  int      `json:"batch_size,omitempty"`
 }
 
 // Event mirrors runner.Event for the SSE progress stream.
@@ -241,92 +215,4 @@ type Stats struct {
 	Warmer     *WarmerStats  `json:"warmer,omitempty"`
 	Traces     *TraceStats   `json:"traces,omitempty"`
 	Archive    *ArchiveStats `json:"archive,omitempty"`
-}
-
-// AppendGrid encodes sweep rows onto b in the grid format.
-func AppendGrid(b []byte, rows []expt.SweepRow) ([]byte, error) {
-	b = append(b, gridMagic...)
-	b = binary.AppendUvarint(b, uint64(len(rows)))
-	for i := range rows {
-		r := &rows[i]
-		b = binary.AppendUvarint(b, uint64(len(r.Bench)))
-		b = append(b, r.Bench...)
-		b = binary.AppendUvarint(b, uint64(len(r.Policy)))
-		b = append(b, r.Policy...)
-		b = binary.AppendUvarint(b, uint64(r.TUs))
-		frame, err := codec.Encode(r.M)
-		if err != nil {
-			return nil, fmt.Errorf("wire: row %d: %w", i, err)
-		}
-		b = binary.AppendUvarint(b, uint64(len(frame)))
-		b = append(b, frame...)
-	}
-	return b, nil
-}
-
-// DecodeGrid parses a grid payload occupying all of b.
-func DecodeGrid(b []byte) ([]expt.SweepRow, error) {
-	if len(b) < len(gridMagic) || string(b[:len(gridMagic)]) != gridMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	pos := len(gridMagic)
-	uv := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad %s at %d", ErrCorrupt, what, pos)
-		}
-		pos += n
-		return v, nil
-	}
-	str := func(what string) (string, error) {
-		n, err := uv(what + " length")
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(len(b)-pos) {
-			return "", fmt.Errorf("%w: %s length %d exceeds payload", ErrCorrupt, what, n)
-		}
-		s := string(b[pos : pos+int(n)])
-		pos += int(n)
-		return s, nil
-	}
-	count, err := uv("row count")
-	if err != nil {
-		return nil, err
-	}
-	if count > maxGridRows {
-		return nil, fmt.Errorf("%w: row count %d", ErrCorrupt, count)
-	}
-	rows := make([]expt.SweepRow, 0, count)
-	for i := uint64(0); i < count; i++ {
-		bench, err := str("bench")
-		if err != nil {
-			return nil, err
-		}
-		policy, err := str("policy")
-		if err != nil {
-			return nil, err
-		}
-		tus, err := uv("TUs")
-		if err != nil {
-			return nil, err
-		}
-		frame, err := str("frame")
-		if err != nil {
-			return nil, err
-		}
-		v, err := codec.Decode([]byte(frame))
-		if err != nil {
-			return nil, fmt.Errorf("wire: row %d: %w", i, err)
-		}
-		m, ok := v.(spec.Metrics)
-		if !ok {
-			return nil, fmt.Errorf("%w: row %d carries %T, not spec.Metrics", ErrCorrupt, i, v)
-		}
-		rows = append(rows, expt.SweepRow{Bench: bench, Policy: policy, TUs: int(tus), M: m})
-	}
-	if pos != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
-	}
-	return rows, nil
 }

@@ -5,73 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"dynloop/internal/expt"
 	"dynloop/internal/grid"
 	"dynloop/internal/spec"
 )
-
-func sampleRows() []expt.SweepRow {
-	return []expt.SweepRow{
-		{Bench: "swim", Policy: "STR", TUs: 2, M: spec.Metrics{Instrs: 100, Cycles: 50, SpecEvents: 3}},
-		{Bench: "perl", Policy: "STR(3)", TUs: 16, M: spec.Metrics{Instrs: 999, Cycles: 400, ThreadsSpawned: 12}},
-		{Bench: "", Policy: "", TUs: 0, M: spec.Metrics{}},
-	}
-}
-
-func TestGridRoundTrip(t *testing.T) {
-	b, err := AppendGrid(nil, sampleRows())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := DecodeGrid(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, sampleRows()) {
-		t.Fatalf("round trip:\n got  %+v\n want %+v", rows, sampleRows())
-	}
-}
-
-func TestGridEmpty(t *testing.T) {
-	b, err := AppendGrid(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := DecodeGrid(b)
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("empty grid: %v %v", rows, err)
-	}
-}
-
-func TestGridCorrupt(t *testing.T) {
-	b, err := AppendGrid(nil, sampleRows())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range [][]byte{
-		{},
-		[]byte("NOTAGRID\n"),
-		b[:len(b)-1],
-		append(append([]byte{}, b...), 7),
-	} {
-		if _, err := DecodeGrid(c); err == nil {
-			t.Errorf("corrupt grid %q... decoded cleanly", c[:min(len(c), 12)])
-		}
-	}
-	// Truncation at every byte must error, never return partial rows
-	// silently.
-	for cut := 0; cut < len(b); cut++ {
-		if _, err := DecodeGrid(b[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded cleanly", cut)
-		}
-	}
-}
-
-func TestGridErrorsWrapErrCorrupt(t *testing.T) {
-	if _, err := DecodeGrid([]byte("DLGRID1\n\xff")); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v", err)
-	}
-}
 
 func sampleValues() []any {
 	return []any{
@@ -125,4 +61,40 @@ func TestCellsCorrupt(t *testing.T) {
 	if _, err := AppendCells(nil, []any{struct{ X int }{1}}); err == nil {
 		t.Fatal("unregistered value encoded")
 	}
+}
+
+// FuzzDecodeCells: DecodeCells parses daemon responses, so arbitrary
+// bytes must never panic, and every rejection must wrap ErrCorrupt.
+// Accepted values must survive a re-encode and decode.
+func FuzzDecodeCells(f *testing.F) {
+	b, err := AppendCells(nil, sampleValues())
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := AppendCells(nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add(empty)
+	f.Add(b[:len(b)/2])
+	f.Add(append(append([]byte{}, b...), 7))
+	f.Add([]byte("NOTCELLS\n"))
+	f.Add([]byte(cellsMagic + "\xff"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		values, err := DecodeCells(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		again, err := AppendCells(nil, values)
+		if err != nil {
+			t.Fatalf("decoded values do not re-encode: %v", err)
+		}
+		if _, err := DecodeCells(again); err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+	})
 }

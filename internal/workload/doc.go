@@ -37,7 +37,9 @@
 // Scale substitutions (the budget is ~4·10^6 instructions instead of
 // 10^9) necessarily shrink what cannot fit: grid extents and therefore
 // instructions/iteration for the large FP codes, and total static-loop
-// counts (code not reached in the window). EXPERIMENTS.md quantifies
-// every deviation; the headline quantities (TPC per machine size, hit
-// ratios, iterations/execution, nesting shape) are preserved.
+// counts (code not reached in the window). The published values live
+// in each benchmark's PaperRow, and perfbench's paper_rel_err (see
+// perfbench/README.md) scores the deviation; the headline quantities
+// (TPC per machine size, hit ratios, iterations/execution, nesting
+// shape) are preserved.
 package workload

@@ -102,8 +102,8 @@ func TestDeterministicAcrossBuilds(t *testing.T) {
 }
 
 // TestCalibration prints the Table-1-style comparison (run with -v).
-// It asserts only the coarse qualitative shape; EXPERIMENTS.md records
-// the full numbers.
+// It asserts only the coarse qualitative shape; perfbench's
+// paper_rel_err scores the full numbers against PaperRow.
 func TestCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration is a long test")

@@ -2,15 +2,18 @@
 # bench_smoke.sh — interpreter-core performance regression gate.
 #
 # Gate 1 runs BenchmarkRun (the full pipeline at the default batch
-# size) once at a fixed iteration count and fails if ns/instruction
-# exceeds the pinned ceiling. The ceiling is deliberately loose — the
-# split-plane core measures ~4.5-4.8 ns/instr on the reference host
-# (see BENCH_interp.json v2) and the ceiling sits at 6.5, well under
-# the ~8.9 of the reference path — so normal runner-to-runner noise
-# passes but losing a tentpole optimisation (or an accidental
-# fall-back to the reference path) fails loudly. Also asserts the
-# benchmark still reports 0 allocs/op on both legs: the
-# zero-allocation batch path is part of the perf contract.
+# size) and BenchmarkRunReference (the same pipeline on the in-tree
+# reference interpreter) in one invocation at a fixed iteration count,
+# and fails if the fast path costs more than RUN_RATIO of the reference
+# path. Normalising by the reference interpreter measured on the same
+# host makes the gate mean the same on any machine. 0.73 is 6.5/8.85:
+# on the reference host (see BENCH_interp.json v2) the split-plane core
+# measures ~4.5-4.8 ns/instr against ~8.85 for the reference path, so
+# the gate is exactly as strict there as the absolute 6.5 ns ceiling it
+# replaces — runner-to-runner noise passes, but losing a tentpole
+# optimisation (or an accidental fall-back to the reference path)
+# fails loudly. Also asserts BenchmarkRun still reports 0 allocs/op:
+# the zero-allocation batch path is part of the perf contract.
 #
 # Gate 2 runs the ctl-plane legs of BenchmarkTraceReplay and fails if
 # a full replay (header-plane decode + consumer delivery) costs more
@@ -22,7 +25,7 @@
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
 
-CEILING_NS="${BENCH_SMOKE_CEILING_NS:-6.5}"
+RUN_RATIO="${BENCH_SMOKE_RUN_RATIO:-0.73}"
 REPLAY_RATIO="${BENCH_SMOKE_REPLAY_RATIO:-1.15}"
 ITERS="${BENCH_SMOKE_ITERS:-2000000}"
 
@@ -39,15 +42,17 @@ parse() {
 	[ -n "$ALLOCS" ] || fail "could not parse allocs/op from: $line"
 }
 
-echo "bench_smoke: BenchmarkRun x$ITERS (ceiling ${CEILING_NS} ns/instr)"
-OUT="$(go test -run='^$' -bench='^BenchmarkRun$' -benchtime="${ITERS}x" .)"
+echo "bench_smoke: BenchmarkRun vs BenchmarkRunReference x$ITERS (ratio <= ${RUN_RATIO})"
+OUT="$(go test -run='^$' -bench='^BenchmarkRun(Reference)?$' -benchtime="${ITERS}x" .)"
 echo "$OUT"
 
+parse '^BenchmarkRunReference\b' "$OUT"
+REF_NS="$NS"
 parse '^BenchmarkRun\b' "$OUT"
-awk -v ns="$NS" -v ceil="$CEILING_NS" 'BEGIN { exit !(ns <= ceil) }' ||
-	fail "BenchmarkRun at ${NS} ns/instr exceeds the ${CEILING_NS} ns ceiling"
-[ "$ALLOCS" = "0" ] || fail "BenchmarkRun allocates (${ALLOCS} allocs/op), want 0"
 RUN_NS="$NS"
+[ "$ALLOCS" = "0" ] || fail "BenchmarkRun allocates (${ALLOCS} allocs/op), want 0"
+awk -v r="$RUN_NS" -v ref="$REF_NS" -v k="$RUN_RATIO" 'BEGIN { exit !(r <= ref * k) }' ||
+	fail "BenchmarkRun at ${RUN_NS} ns/instr exceeds ${RUN_RATIO}x the reference path's ${REF_NS} ns/instr"
 
 echo "bench_smoke: BenchmarkTraceReplay interpret vs replay x$ITERS (ratio <= ${REPLAY_RATIO})"
 OUT="$(go test -run='^$' -bench='^BenchmarkTraceReplay/(interpret|replay)$' -benchtime="${ITERS}x" .)"
@@ -63,4 +68,4 @@ REPLAY_NS="$NS"
 awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <= i * k) }' ||
 	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
 
-echo "bench_smoke: OK (run ${RUN_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs)"
+echo "bench_smoke: OK (run ${RUN_NS} vs reference ${REF_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs)"
