@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -123,6 +124,43 @@ func TestArchiveRecordReplayRoundTrip(t *testing.T) {
 	check(cold)
 	if st := cold.Stats(); st.Invalidated != 0 || st.SchemaSkips != 0 || st.TruncatedTail != 0 {
 		t.Fatalf("clean archive reported recovery: %+v", st)
+	}
+}
+
+// TestRoundTrip: a cold re-open of the archive must hand back the
+// recording's identity and embedded program exactly as recorded, and
+// replaying it must reproduce the exact stream (hash over control flow).
+func TestRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	_, n, hash, _ := recordInto(t, dir, "arch", 0)
+	u := buildArchUnit(t, "arch")
+
+	a, err := OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := a.Lookup("arch", 1)
+	if !ok {
+		t.Fatal("recording not found")
+	}
+	if rec.Bench() != "arch" || rec.Seed() != 1 || rec.Events() != n {
+		t.Fatalf("recording identity: bench %q seed %d events %d, want arch 1 %d",
+			rec.Bench(), rec.Seed(), rec.Events(), n)
+	}
+	p := rec.Program()
+	if p.Name != u.Prog.Name || p.Entry != u.Prog.Entry || !reflect.DeepEqual(p.Code, u.Prog.Code) {
+		t.Fatal("embedded program mismatch")
+	}
+	h := trace.NewHash()
+	got, _, err := rec.Replay(0, nil, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Fatalf("replayed %d of %d events", got, n)
+	}
+	if h.Sum != hash {
+		t.Fatalf("replay hash %x != live hash %x", h.Sum, hash)
 	}
 }
 

@@ -18,6 +18,71 @@ func sampleValues() []any {
 	}
 }
 
+// sweepMetrics are the cell values of a "sweep" grid response: one
+// spec.Metrics per benchmark × policy × TUs cell, zero value included.
+func sweepMetrics() []any {
+	return []any{
+		spec.Metrics{Instrs: 100, Cycles: 50, SpecEvents: 3},
+		spec.Metrics{Instrs: 999, Cycles: 400, ThreadsSpawned: 12},
+		spec.Metrics{},
+	}
+}
+
+// TestGridRoundTrip: a sweep grid's metrics cross the wire in cell
+// order and come back as spec.Metrics, field for field.
+func TestGridRoundTrip(t *testing.T) {
+	b, err := AppendCells(nil, sweepMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	values, err := DecodeCells(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(values, sweepMetrics()) {
+		t.Fatalf("round trip:\n got  %+v\n want %+v", values, sweepMetrics())
+	}
+}
+
+// TestGridEmpty: a grid with no cells (every benchmark excluded) is a
+// valid, empty payload.
+func TestGridEmpty(t *testing.T) {
+	b, err := AppendCells(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values, err := DecodeCells(b)
+	if err != nil || len(values) != 0 {
+		t.Fatalf("empty grid: %v %v", values, err)
+	}
+}
+
+// TestGridCorrupt: malformed grid payloads — including a response in
+// the retired "DLGRID1" row format — are rejected with ErrCorrupt,
+// never returned as partial values.
+func TestGridCorrupt(t *testing.T) {
+	b, err := AppendCells(nil, sweepMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][]byte{
+		{},
+		[]byte("NOTAGRID\n"),
+		[]byte("DLGRID1\n\x00"),
+		b[:len(b)-1],
+		append(append([]byte{}, b...), 7),
+	} {
+		if _, err := DecodeCells(c); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("corrupt grid %q...: err = %v, want ErrCorrupt", c[:min(len(c), 12)], err)
+		}
+	}
+	for cut := 0; cut < len(b); cut++ {
+		if _, err := DecodeCells(b[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
+		}
+	}
+}
+
 func TestCellsRoundTrip(t *testing.T) {
 	b, err := AppendCells(nil, sampleValues())
 	if err != nil {
