@@ -1,7 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (at a reduced per-iteration budget so -bench=. stays fast;
 // the paper's published values live in workload.PaperRow, and perfbench's
-// paper_rel_err scores full-budget runs against them), plus
+// paper_rel_err scores full-budget runs against them: see
+// perfbench/README.md, "Model check", and the held-out seed 1009 in
+// perfbench/steadiness.json), plus
 // micro-benchmarks of the core mechanisms. Custom metrics expose the
 // reproduced quantity (TPC, hit ratios) alongside time/op.
 package dynloop_test

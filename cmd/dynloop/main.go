@@ -532,9 +532,22 @@ func parallelFlags(fs *flag.FlagSet) (*bool, func() (*orchestrator, error)) {
 				return nil, err
 			}
 			o.traces = harness.NewTraces(arch)
+			closeStore := o.close
+			o.close = func() {
+				closeArchive(arch)
+				closeStore()
+			}
 		}
 		o.runner = runner.New(rc)
 		return o, nil
+	}
+}
+
+// closeArchive releases a trace archive's file handles, reporting a
+// failure on stderr: the command's own result stands.
+func closeArchive(a *tracefile.Archive) {
+	if err := a.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "dynloop: traces:", err)
 	}
 }
 
@@ -1114,6 +1127,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
+		defer closeArchive(arch)
 		cfg.Traces = harness.NewTraces(arch)
 		fmt.Fprintf(os.Stderr, "dynloop: traces %s: %d recordings\n", *tracesDir, arch.Stats().Recordings)
 	}
@@ -1194,6 +1208,7 @@ func cmdTraceRecord(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	defer closeArchive(arch)
 	tr := harness.NewTraces(arch)
 	var names []string
 	if *benches != "" {
@@ -1238,6 +1253,7 @@ func cmdTraceLs(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer closeArchive(arch)
 	recs := arch.Recordings()
 	t := report.NewTable(fmt.Sprintf("trace archive %s (%d recordings)", *dir, len(recs)),
 		"bench", "seed", "events", "halted", "blocks", "bytes", "schema", "planes")
@@ -1283,6 +1299,7 @@ func cmdTraceVerify(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer closeArchive(arch)
 	recs := arch.Recordings()
 	for _, r := range recs {
 		n, _, err := r.Replay(0, nil, nil)
@@ -1322,6 +1339,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer closeArchive(arch)
 	t := report.NewTable(fmt.Sprintf("replay of trace archive %s (%d TUs, %s)", *dir, *tus, pol),
 		"bench", "seed", "events", "static loops", "iter/exec", "TPC", "hit ratio %")
 	for _, r := range arch.Recordings() {

@@ -274,7 +274,8 @@ type (
 
 // OpenTraceArchive opens (creating if needed) a trace-archive
 // directory, validating every recording and repairing a torn tail on
-// the newest file.
+// the newest file. Close the archive to release the recordings' file
+// handles.
 func OpenTraceArchive(dir string) (*TraceArchive, error) {
 	return tracefile.OpenArchive(dir)
 }

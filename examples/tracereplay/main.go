@@ -31,6 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer arch.Close()
 
 	// Record: one execution, one recording.
 	rec, err := arch.BeginRecord(bm.Name, 1, unit.Prog)

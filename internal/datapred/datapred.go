@@ -72,6 +72,7 @@ type loopAcc struct {
 
 // frame tracks the current iteration of one active loop execution.
 type frame struct {
+	id   uint64 // the loop execution's loopdet.Exec.ID
 	loop *loopAcc
 	gen  uint32
 	// regState is 0 (unseen this iteration), gen<<1 (read first) or
@@ -148,9 +149,10 @@ type Collector struct {
 	cfg    Config
 	shadow [isa.NumRegs]int64
 	frames []*frame
-	byID   map[uint64]*frame
-	loops  map[isa.Addr]*loopAcc
-	reads  []isa.Reg
+	// free holds ended frames for reuse, keeping their slices and maps.
+	free  []*frame
+	loops map[isa.Addr]*loopAcc
+	reads []isa.Reg
 }
 
 // NewCollector returns a collector with the given configuration.
@@ -158,7 +160,6 @@ func NewCollector(cfg Config) *Collector {
 	cfg.setDefaults()
 	return &Collector{
 		cfg:   cfg,
-		byID:  make(map[uint64]*frame),
 		loops: make(map[isa.Addr]*loopAcc),
 	}
 }
@@ -223,19 +224,39 @@ func (c *Collector) ExecStart(x *loopdet.Exec) {
 		}
 		c.loops[x.T] = la
 	}
-	fr := &frame{loop: la}
+	var fr *frame
+	if n := len(c.free); n > 0 {
+		fr = c.free[n-1]
+		c.free = c.free[:n-1]
+		*fr = frame{id: x.ID, loop: la, regLive: fr.regLive, memOrder: fr.memOrder,
+			memFirst: fr.memFirst, memSeen: fr.memSeen}
+	} else {
+		fr = &frame{id: x.ID, loop: la}
+	}
 	fr.reset()
 	c.frames = append(c.frames, fr)
-	c.byID[x.ID] = fr
+}
+
+// find returns the index in c.frames of execution id's frame, or -1.
+// The frame list is at most CLS-deep, so a scan from the innermost end
+// beats a map.
+func (c *Collector) find(id uint64) int {
+	for i := len(c.frames) - 1; i >= 0; i-- {
+		if c.frames[i].id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // IterStart implements loopdet.Observer: the previous iteration is
 // complete — evaluate and train the predictors — and a fresh one begins.
 func (c *Collector) IterStart(x *loopdet.Exec, index uint64) {
-	fr := c.byID[x.ID]
-	if fr == nil {
+	i := c.find(x.ID)
+	if i < 0 {
 		return
 	}
+	fr := c.frames[i]
 	if x.Iters > 2 {
 		c.finishIteration(fr)
 	}
@@ -244,24 +265,20 @@ func (c *Collector) IterStart(x *loopdet.Exec, index uint64) {
 
 // ExecEnd implements loopdet.Observer.
 func (c *Collector) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64) {
-	fr := c.byID[x.ID]
-	if fr == nil {
+	i := c.find(x.ID)
+	if i < 0 {
 		return
 	}
+	fr := c.frames[i]
 	switch reason {
 	case loopdet.EndEvicted, loopdet.EndFlush:
 		// Partial iteration; discard.
 	default:
 		c.finishIteration(fr)
 	}
-	delete(c.byID, x.ID)
-	for i := len(c.frames) - 1; i >= 0; i-- {
-		if c.frames[i] == fr {
-			copy(c.frames[i:], c.frames[i+1:])
-			c.frames = c.frames[:len(c.frames)-1]
-			break
-		}
-	}
+	copy(c.frames[i:], c.frames[i+1:])
+	c.frames = c.frames[:len(c.frames)-1]
+	c.free = append(c.free, fr)
 }
 
 // OneShot implements loopdet.Observer; one-shot executions have no

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -151,6 +152,12 @@ func (t *Traces) replay(rec *tracefile.Recording, cfg MultiConfig, passes ...tra
 	n, halted, err := rec.Replay(cfg.Budget, d, cfg.sink(b))
 	if err != nil {
 		b.Stop()
+		if errors.Is(err, tracefile.ErrCorrupt) {
+			// The file was damaged after it was validated at load. The
+			// passes have seen a partial stream, so this run fails; drop
+			// the recording so the next MultiRun re-records it.
+			t.arch.Invalidate(rec.Bench(), rec.Seed())
+		}
 		return MultiResult{Executed: n, Batches: b.Epochs()}, err
 	}
 	b.Finalize()

@@ -2,10 +2,16 @@ package harness
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"dynloop/internal/builder"
+	"dynloop/internal/loopdet"
+	"dynloop/internal/loopstats"
 	"dynloop/internal/trace"
 	"dynloop/internal/tracefile"
 )
@@ -175,5 +181,93 @@ func TestTracesLongerBudgetReRecords(t *testing.T) {
 	}
 	if !replayed || res.Executed != half || res.Halted {
 		t.Fatalf("prefix replay after re-record: %+v (replayed=%v)", res, replayed)
+	}
+}
+
+// TestTracesCorruptionAfterOpenReRecords: a block damaged on disk after
+// the archive loaded it fails the replay with ErrCorrupt. The tier then
+// drops the recording, and the next MultiRun interprets and re-records
+// it, with pass output equal to plain interpretation.
+func TestTracesCorruptionAfterOpenReRecords(t *testing.T) {
+	passes := func() (*trace.Hash, *loopdet.Detector, *loopstats.Collector) {
+		var h trace.Hash
+		stats := loopstats.NewCollector()
+		return &h, NewObserverPass(0, stats), stats
+	}
+	refHash, refDet, refStats := passes()
+	ref, err := MultiRun(unit(t), MultiConfig{}, trace.AsPass(refHash), refDet)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	a, err := tracefile.OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTraces(a)
+	ctx := context.Background()
+	if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}); err != nil || replayed {
+		t.Fatalf("cold run: replayed=%v err=%v, want a recording", replayed, err)
+	}
+	rec, ok := a.Lookup("h", 1)
+	if !ok {
+		t.Fatal("recording not installed")
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.dltrace"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("want one archive file, got %v (%v)", names, err)
+	}
+	// Flip the last field byte of the last block, which sits before the
+	// block's 8 zero pad bytes and the trailer (tag, uvarint event
+	// count, halted byte).
+	var vb [binary.MaxVarintLen64]byte
+	off := rec.Size() - int64(2+binary.PutUvarint(vb[:], rec.Events())) - 8 - 1
+	f, err := os.OpenFile(names[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := rec.Replay(0, nil, trace.NewHash()); !errors.Is(err, tracefile.ErrCorrupt) {
+		t.Fatalf("Replay of the damaged recording: err = %v, want ErrCorrupt", err)
+	}
+	if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}); !replayed || !errors.Is(err, tracefile.ErrCorrupt) {
+		t.Fatalf("MultiRun over the damaged recording: replayed=%v err=%v, want a failed replay", replayed, err)
+	}
+	if _, ok := a.Lookup("h", 1); ok {
+		t.Fatal("damaged recording still served after the failed replay")
+	}
+
+	before := Traversals()
+	h, det, stats := passes()
+	res, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, trace.AsPass(h), det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed || Traversals()-before != 1 {
+		t.Fatalf("run after invalidation: replayed=%v, %d traversals; want a re-record", replayed, Traversals()-before)
+	}
+	if res.Executed != ref.Executed || res.Halted != ref.Halted || h.Sum != refHash.Sum {
+		t.Fatalf("re-record run: %+v hash %x, want %+v hash %x", res, h.Sum, ref, refHash.Sum)
+	}
+	if stats.Summary() != refStats.Summary() || det.Stats() != refDet.Stats() {
+		t.Fatalf("re-record run's loop passes differ from interpretation:\n%+v %+v\n%+v %+v",
+			stats.Summary(), det.Stats(), refStats.Summary(), refDet.Stats())
+	}
+	// The fresh recording replays cleanly.
+	var h2 trace.Hash
+	if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, trace.AsPass(&h2)); err != nil || !replayed || h2.Sum != refHash.Sum {
+		t.Fatalf("replay of the re-recording: replayed=%v err=%v hash %x, want %x", replayed, err, h2.Sum, refHash.Sum)
 	}
 }

@@ -72,8 +72,10 @@ func (r EndReason) String() string {
 }
 
 // Exec is one loop execution tracked by the CLS. Observers receive the
-// same *Exec across its lifetime and may compare pointers or IDs; they
-// must not mutate it.
+// same *Exec from ExecStart until ExecEnd returns and must not mutate
+// it. After ExecEnd the detector recycles the record for a later
+// execution, so an observer that needs the execution afterwards keeps
+// x.ID or copies fields, never the pointer.
 type Exec struct {
 	// ID is unique across the run.
 	ID uint64
@@ -192,6 +194,7 @@ type Detector struct {
 	flushMask uint64 // 0 = disabled; otherwise flush when instrs reaches the next multiple
 	flushAt   uint64
 	cls       []*Exec // cls[0] is the deepest/outermost entry
+	free      []*Exec // ended executions, recycled by push
 	obs       []Observer
 	stream    []streamSink
 	nextID    uint64
@@ -549,12 +552,17 @@ func (d *Detector) push(t, pc isa.Addr, idx uint64) {
 		bottom := d.cls[0]
 		copy(d.cls, d.cls[1:])
 		d.cls = d.cls[:len(d.cls)-1]
-		for _, o := range d.obs {
-			o.ExecEnd(bottom, EndEvicted, idx)
-		}
+		d.end(bottom, EndEvicted, idx)
 	}
 	d.nextID++
-	x := &Exec{
+	var x *Exec
+	if n := len(d.free); n > 0 {
+		x = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		x = new(Exec)
+	}
+	*x = Exec{
 		ID:             d.nextID,
 		T:              t,
 		B:              pc,
@@ -589,9 +597,7 @@ func (d *Detector) popAbove(i int, r EndReason, idx uint64) {
 func (d *Detector) popTop(r EndReason, idx uint64) {
 	x := d.cls[len(d.cls)-1]
 	d.cls = d.cls[:len(d.cls)-1]
-	for _, o := range d.obs {
-		o.ExecEnd(x, r, idx)
-	}
+	d.end(x, r, idx)
 }
 
 // removeAt removes the entry at stack index i (possibly mid-stack: the
@@ -601,9 +607,15 @@ func (d *Detector) removeAt(i int, r EndReason, idx uint64) {
 	x := d.cls[i]
 	copy(d.cls[i:], d.cls[i+1:])
 	d.cls = d.cls[:len(d.cls)-1]
+	d.end(x, r, idx)
+}
+
+// end reports x's end to every observer, then recycles it.
+func (d *Detector) end(x *Exec, r EndReason, idx uint64) {
 	for _, o := range d.obs {
 		o.ExecEnd(x, r, idx)
 	}
+	d.free = append(d.free, x)
 }
 
 // Flush ends every active execution (reason EndFlush), innermost first.

@@ -15,7 +15,7 @@ type Table[V any] struct {
 	head, tail *node[V] // head is most recently used
 	evictions  uint64
 	// OnEvict, when non-nil, is called with the key and value being
-	// evicted, before removal.
+	// evicted, before removal. The entry is reused once it returns.
 	OnEvict func(k isa.Addr, v *V)
 }
 
@@ -70,10 +70,14 @@ func (t *Table[V]) Insert(k isa.Addr) *V {
 		t.moveToFront(n)
 		return &n.val
 	}
+	var n *node[V]
 	if t.capacity > 0 && len(t.m) >= t.capacity {
-		t.evictLRU()
+		n = t.evictLRU()
 	}
-	n := &node[V]{key: k}
+	if n == nil {
+		n = new(node[V])
+	}
+	*n = node[V]{key: k}
 	t.m[k] = n
 	t.pushFront(n)
 	return &n.val
@@ -108,10 +112,12 @@ func (t *Table[V]) Keys() []isa.Addr {
 	return out
 }
 
-func (t *Table[V]) evictLRU() {
+// evictLRU removes the least recently used entry and returns its node
+// for reuse, or nil if the table is empty.
+func (t *Table[V]) evictLRU() *node[V] {
 	v := t.tail
 	if v == nil {
-		return
+		return nil
 	}
 	if t.OnEvict != nil {
 		t.OnEvict(v.key, &v.val)
@@ -119,6 +125,7 @@ func (t *Table[V]) evictLRU() {
 	t.unlink(v)
 	delete(t.m, v.key)
 	t.evictions++
+	return v
 }
 
 func (t *Table[V]) pushFront(n *node[V]) {

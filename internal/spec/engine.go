@@ -201,6 +201,9 @@ type Engine struct {
 
 	idle   int
 	active []*loopState
+	// free holds ended loop states for reuse, keeping their threads
+	// backing arrays and starved maps.
+	free []*loopState
 
 	// §2.3.2 exclusion machinery (nil unless enabled).
 	accs     map[isa.Addr]*accuracy
@@ -279,7 +282,14 @@ func (e *Engine) InstrBatch(evs []trace.Event) {
 
 // ExecStart implements loopdet.Observer.
 func (e *Engine) ExecStart(x *loopdet.Exec) {
-	st := &loopState{x: x}
+	var st *loopState
+	if n := len(e.free); n > 0 {
+		st = e.free[n-1]
+		e.free = e.free[:n-1]
+		*st = loopState{x: x, threads: st.threads[:0], starved: st.starved}
+	} else {
+		st = &loopState{x: x}
+	}
 	if n := len(e.cfg.OracleIters); n > 0 {
 		if e.oracleNext < n {
 			st.oracleIters = e.cfg.OracleIters[e.oracleNext]
@@ -357,7 +367,7 @@ func (e *Engine) starve(st *loopState, index uint64) {
 	outer.starved[st.x.T] = struct{}{}
 	if len(outer.starved) > limit {
 		e.squash(outer, index, false)
-		outer.starved = nil
+		clear(outer.starved)
 	}
 }
 
@@ -488,7 +498,7 @@ func (e *Engine) spawn(st *loopState, index uint64) {
 		st.threads = append(st.threads, thread{iter: first + i, spawnClock: e.clock, spawnIndex: index, predicted: predicted})
 	}
 	e.idle -= want
-	st.starved = nil
+	clear(st.starved)
 	e.m.SpecEvents++
 	e.m.ThreadsSpawned += uint64(want)
 	e.m.OutstandingSum += uint64(len(st.threads))
@@ -519,6 +529,8 @@ func (e *Engine) ExecEnd(x *loopdet.Exec, reason loopdet.EndReason, index uint64
 			break
 		}
 	}
+	clear(st.starved)
+	e.free = append(e.free, st)
 }
 
 // squash discards all pending threads of st. Flush-squashes (stream end)

@@ -91,7 +91,9 @@ func (p *Predictor) ExecStart(x *loopdet.Exec) {
 	}
 	p.history = append(p.history, x.T)
 	if len(p.history) > p.cfg.HistoryLength {
-		p.history = p.history[1:]
+		// Shift down instead of reslicing, so the append reuses the
+		// backing array rather than reallocating every few executions.
+		p.history = p.history[:copy(p.history, p.history[1:])]
 	}
 }
 

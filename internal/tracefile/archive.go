@@ -41,13 +41,24 @@ package tracefile
 // lookup misses, and the caller falls back to interpretation and
 // re-records over it.
 //
-// Recordings are held in memory fully validated, so Replay is a pure
-// decode of pre-verified bytes: it cannot fail on corruption and runs
-// allocation-free with a warmed Decoder.
+// Block payloads never stay in memory. Open and Commit stream each file
+// through a block-sized buffer, CRC-check and fully decode every block,
+// and keep only a block index (offset, size, CRC, event count, start
+// pc) plus the open file handle. Replay reads each block back into its
+// Decoder's buffer and re-checks the CRC before decoding, so damage that
+// appears after load (a bit flip on disk, a failing device) makes Replay
+// return an error wrapping ErrCorrupt rather than deliver wrong events;
+// the caller drops the recording with Invalidate and re-records it.
+// Replay stays allocation-free with a warmed Decoder.
+//
+// Files are immutable once renamed into place: a re-record installs a
+// new inode and never changes bytes under a live reader. A recording's
+// file handle is closed by Archive.Close, or, once the recording has
+// been replaced or invalidated, by the *os.File finalizer when no
+// replay holds it any more.
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -110,22 +121,27 @@ type archKey struct {
 	seed  uint64
 }
 
-// blockRef is one CRC-verified block of a loaded recording: the event
-// count, the pc of the block's first event (the decoder's pc-chain
-// seed) and the payload bytes (a subslice of the recording's file
-// image).
+// blockRef indexes one validated block of a loaded recording: where its
+// payload lies in the file, the payload's CRC, the event count and the
+// pc of the block's first event (the decoder's pc-chain seed).
 type blockRef struct {
+	off     int64
+	size    uint32
+	crc     uint32
 	count   uint64
 	startPC uint64
-	payload []byte
 }
 
-// Recording is one fully validated (benchmark, seed) trace held in
-// memory, ready for repeated replay.
+// Recording is one validated (benchmark, seed) trace, ready for
+// repeated replay: its header and block index live in memory, its block
+// payloads stay in the file and are read back by each Replay.
 type Recording struct {
-	bench  string
-	seed   uint64
-	prog   *program.Program
+	bench string
+	seed  uint64
+	prog  *program.Program
+	// src reads the recording's bytes: the open *os.File for archive
+	// recordings, any io.ReaderAt for an in-memory image.
+	src    io.ReaderAt
 	blocks []blockRef
 	events uint64
 	halted bool
@@ -134,8 +150,8 @@ type Recording struct {
 	// Recording it always equals that — kept per recording so listings
 	// state it explicitly rather than inferring it.
 	version uint64
-	// maxBlock is the largest block event count, the decode buffer size
-	// a Decoder needs.
+	// maxBlock is the largest block payload in bytes, the block buffer
+	// size a Decoder needs.
 	maxBlock int
 	size     int64
 	// tmpls is the per-pc decode-template table (see buildTmpls), built
@@ -190,12 +206,13 @@ func (r *Recording) CanServe(budget uint64) bool {
 // several hundred KiB. It matches the interpreter's DefaultBatchSize.
 const decodeBatch = 1024
 
-// Decoder holds the reusable event buffers for Replay. The zero value
-// is ready to use; the first Replay warms it and subsequent replays do
-// not allocate. Full-plane and control-plane replays use separate event
-// buffers, so a decoder serving only control-plane sinks never
-// allocates the (5x larger) full-event buffer.
+// Decoder holds the reusable block and event buffers for Replay. The
+// zero value is ready to use; the first Replay warms it and subsequent
+// replays do not allocate. Full-plane and control-plane replays use
+// separate event buffers, so a decoder serving only control-plane sinks
+// never allocates the (5x larger) full-event buffer.
 type Decoder struct {
+	blk    []byte
 	evs    []trace.Event
 	ctlEvs []trace.CtlEvent
 	ctl    []int32
@@ -206,9 +223,14 @@ type Decoder struct {
 // budget cuts it). Budget 0 replays everything. It returns the events
 // delivered and whether that count is a halt point, mirroring an
 // interpreted run's result. The batch buffer is reused between blocks;
-// consumers must copy what they keep. Blocks were CRC- and
-// decode-verified at load, so decoding cannot fail; any residual decode
-// error reports a software bug via ErrCorrupt.
+// consumers must copy what they keep.
+//
+// Each block is read from the recording's file into the decoder's block
+// buffer and its CRC re-checked before it is decoded. A read error or a
+// CRC mismatch — the file was damaged after load — returns an error
+// wrapping ErrCorrupt, with the events before the damaged block already
+// delivered; the recording must then be dropped (Archive.Invalidate)
+// and re-recorded.
 //
 // Replay negotiates event facets exactly as the interpreter's Run does:
 // a sink that accepts control-plane batches and needs only the control
@@ -243,6 +265,7 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 	if d.ctl == nil {
 		d.ctl = make([]int32, decodeBatch)
 	}
+	d.growBlk(r.maxBlock)
 	// Segmentation-capable sinks get each block's run boundaries as a
 	// side channel, collected during the decode itself (one template-
 	// flag test per event) so the consumer skips its own kind scan.
@@ -261,6 +284,10 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 		if take == 0 {
 			break
 		}
+		payload, err := r.readBlock(i, d.blk)
+		if err != nil {
+			return n, false, err
+		}
 		// Decode the block in cache-sized sub-batches: a whole block is
 		// several hundred KiB of decoded events, which would stream the
 		// consumer's working set out of cache between decode and
@@ -277,7 +304,7 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 			last := wholeBlock && chunk == take
 			var cn int
 			var err error
-			hpos, vpos, pc, cn, err = decodeEventsPacked(b.payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, last, ctl)
+			hpos, vpos, pc, cn, err = decodeEventsPacked(payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, last, ctl)
 			if err != nil {
 				return n, false, fmt.Errorf("verified block %d failed to decode: %w", i, err)
 			}
@@ -299,8 +326,8 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 // replayCtl is the control-plane replay loop: the same block/chunk
 // structure as Replay, but decoding header-plane-only control events.
 // The run-boundary side channel is collected as a byproduct and always
-// delivered. Blocks were full-decode-verified at load, so this path
-// skips the end-of-block revalidation.
+// delivered. Blocks were full-decode-verified at load and their CRC is
+// re-checked on read, so this path skips the end-of-block revalidation.
 func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchConsumer) (uint64, bool, error) {
 	limit := r.events
 	if budget != 0 && budget < limit {
@@ -312,6 +339,7 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 	if d.ctl == nil {
 		d.ctl = make([]int32, decodeBatch)
 	}
+	d.growBlk(r.maxBlock)
 	var n uint64
 	for i := range r.blocks {
 		b := &r.blocks[i]
@@ -321,6 +349,10 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 		}
 		if take == 0 {
 			break
+		}
+		payload, err := r.readBlock(i, d.blk)
+		if err != nil {
+			return n, false, err
 		}
 		hlim := int(b.count)
 		hpos, vpos, pc := 0, hlim, b.startPC
@@ -332,7 +364,7 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 			evs := d.ctlEvs[:chunk]
 			var cn int
 			var err error
-			hpos, vpos, pc, cn, err = decodeEventsCtl(b.payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, d.ctl)
+			hpos, vpos, pc, cn, err = decodeEventsCtl(payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, d.ctl)
 			if err != nil {
 				return n, false, fmt.Errorf("verified block %d failed to decode: %w", i, err)
 			}
@@ -345,6 +377,27 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 		}
 	}
 	return n, r.halted && n == r.events, nil
+}
+
+// growBlk sizes the block buffer for blocks of up to n payload bytes.
+func (d *Decoder) growBlk(n int) {
+	if cap(d.blk) < n {
+		d.blk = make([]byte, n)
+	}
+}
+
+// readBlock reads block i's payload into buf (cap ≥ the payload size)
+// and checks it against the CRC recorded at load.
+func (r *Recording) readBlock(i int, buf []byte) ([]byte, error) {
+	b := &r.blocks[i]
+	p := buf[:b.size]
+	if n, err := r.src.ReadAt(p, b.off); n < len(p) {
+		return nil, fmt.Errorf("%w: reading block %d: %v", ErrCorrupt, i, err)
+	}
+	if crc32.ChecksumIEEE(p) != b.crc {
+		return nil, fmt.Errorf("%w: block %d CRC mismatch at byte %d", ErrCorrupt, i, b.off)
+	}
+	return p, nil
 }
 
 // ArchiveStats reports the archive's load-time recovery actions and
@@ -382,7 +435,8 @@ type Archive struct {
 // and validating every recording in it. A torn tail on the newest file
 // is repaired in place; block-level damage invalidates just that
 // recording; structural damage elsewhere returns an error wrapping
-// ErrCorrupt.
+// ErrCorrupt. Each loaded recording keeps its file open for replay;
+// Close releases them.
 func OpenArchive(dir string) (*Archive, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -415,45 +469,64 @@ func OpenArchive(dir string) (*Archive, error) {
 		return files[i].path < files[j].path
 	})
 	for i, f := range files {
-		newest := i == len(files)-1
-		data, err := os.ReadFile(f.path)
-		if err != nil {
+		if err := a.load(f.path, i == len(files)-1); err != nil {
+			a.Close()
 			return nil, err
 		}
-		rec, tornAt, err := parseArchive(data)
-		switch {
-		case errors.Is(err, errSchemaSkew):
-			a.schemaSkips.Add(1)
-			mArchSchemaSkips.Inc()
-			continue
-		case errors.Is(err, errInvalid):
-			a.invalidated.Add(1)
-			mArchInvalidated.Inc()
-			continue
-		case err != nil:
-			return nil, fmt.Errorf("%s: %w", f.path, err)
-		}
-		if tornAt >= 0 {
-			if !newest {
-				return nil, fmt.Errorf("%s: %w: torn frame at byte %d in non-newest file", f.path, ErrCorrupt, tornAt)
-			}
-			a.truncated.Add(uint64(len(data) - tornAt))
-			mArchTruncatedBytes.Add(uint64(len(data) - tornAt))
-			if rec == nil {
-				// Torn inside the header: nothing salvageable.
-				if err := os.Remove(f.path); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := repairTornTail(f.path, int64(tornAt), rec.events); err != nil {
-				return nil, err
-			}
-			rec.size = int64(tornAt) + trailerLen(rec.events)
-		}
-		a.recs[archKey{rec.bench, rec.seed}] = rec
 	}
 	return a, nil
+}
+
+// load validates one archive file and installs its recording, keeping
+// the file open as the recording's source. Files skipped for block
+// damage or schema skew are counted, not errors.
+func (a *Archive) load(path string, newest bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	keep := false
+	defer func() {
+		if !keep {
+			f.Close()
+		}
+	}()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := fi.Size()
+	rec, tornAt, err := parseArchive(f, size)
+	switch {
+	case errors.Is(err, errSchemaSkew):
+		a.schemaSkips.Add(1)
+		mArchSchemaSkips.Inc()
+		return nil
+	case errors.Is(err, errInvalid):
+		a.invalidated.Add(1)
+		mArchInvalidated.Inc()
+		return nil
+	case err != nil:
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if tornAt >= 0 {
+		if !newest {
+			return fmt.Errorf("%s: %w: torn frame at byte %d in non-newest file", path, ErrCorrupt, tornAt)
+		}
+		a.truncated.Add(uint64(size - tornAt))
+		mArchTruncatedBytes.Add(uint64(size - tornAt))
+		if rec == nil {
+			// Torn inside the header: nothing salvageable.
+			return os.Remove(path)
+		}
+		if err := repairTornTail(path, tornAt, rec.events); err != nil {
+			return err
+		}
+		rec.size = tornAt + trailerLen(rec.events)
+	}
+	keep = true
+	a.recs[archKey{rec.bench, rec.seed}] = rec
+	return nil
 }
 
 // trailerLen returns the encoded trailer size for an event count.
@@ -485,27 +558,65 @@ func repairTornTail(path string, tornAt int64, events uint64) error {
 	return f.Sync()
 }
 
-// parseArchive parses and fully validates one archive file image.
+// readErrs remembers the first read error other than io.EOF, so that
+// parseArchive can report a failing device as an I/O error instead of
+// classifying the short read as a torn tail (which would truncate the
+// file) or as corruption.
+type readErrs struct {
+	r   io.ReaderAt
+	err error
+}
+
+func (r *readErrs) ReadAt(p []byte, off int64) (int, error) {
+	n, err := r.r.ReadAt(p, off)
+	if err != nil && err != io.EOF && r.err == nil {
+		r.err = err
+	}
+	return n, err
+}
+
+// parseArchive parses and fully validates the size-byte archive image
+// read from src. The returned recording reads its blocks from src.
 //
 // Returns (rec, -1, nil) for a clean file. A torn tail — the data ends
 // mid-frame with everything before it intact — returns tornAt ≥ 0 and a
 // nil error; rec then holds the intact block prefix (not halted), or is
 // nil when the tear is inside the header. Block-level damage returns
-// errInvalid, version skew errSchemaSkew, and structural damage an
-// error wrapping ErrCorrupt.
-func parseArchive(data []byte) (*Recording, int, error) {
-	if len(data) < len(magicArch) {
-		if string(data) == magicArch[:len(data)] {
+// errInvalid, version skew errSchemaSkew, structural damage an error
+// wrapping ErrCorrupt, and a failing read of src that read's error.
+func parseArchive(src io.ReaderAt, size int64) (*Recording, int64, error) {
+	re := &readErrs{r: src}
+	rec, tornAt, err := parseFrames(re, size)
+	if re.err != nil {
+		return nil, -1, re.err
+	}
+	if rec != nil {
+		rec.src = src
+	}
+	return rec, tornAt, err
+}
+
+// parseFrames is parseArchive's walk over the header and frames. Each
+// block is read into one reused block-sized buffer, CRC-checked and
+// fully decoded; only its index entry is kept.
+func parseFrames(src io.ReaderAt, size int64) (*Recording, int64, error) {
+	sr := io.NewSectionReader(src, 0, size)
+	br := bufio.NewReader(sr)
+	pos := func() int64 {
+		off, _ := sr.Seek(0, io.SeekCurrent)
+		return off - int64(br.Buffered())
+	}
+
+	var magic [len(magicArch)]byte
+	if n, _ := io.ReadFull(br, magic[:]); n < len(magic) {
+		if string(magic[:n]) == magicArch[:n] {
 			return nil, 0, nil // torn inside the magic
 		}
 		return nil, -1, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if string(data[:len(magicArch)]) != magicArch {
+	if string(magic[:]) != magicArch {
 		return nil, -1, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	br := bytes.NewReader(data[len(magicArch):])
-	pos := func() int { return len(data) - br.Len() }
-
 	version, err := binary.ReadUvarint(br)
 	if err != nil {
 		return headerErr(err, "schema version")
@@ -541,17 +652,17 @@ func parseArchive(data []byte) (*Recording, int, error) {
 		seed:    seed,
 		prog:    prog,
 		version: version,
-		size:    int64(len(data)),
+		size:    size,
 		tmpls:   buildTmpls(prog.Code),
 	}
+	var blk []byte
 	var scratch Decoder
 	for {
 		frameStart := pos()
-		if frameStart >= len(data) {
+		tag, err := br.ReadByte()
+		if err != nil {
 			return rec, frameStart, nil // missing trailer: torn right after a block
 		}
-		tag := data[frameStart]
-		br.Seek(1, io.SeekCurrent)
 		switch tag {
 		case tagTrailer:
 			count, err := binary.ReadUvarint(br)
@@ -565,8 +676,8 @@ func parseArchive(data []byte) (*Recording, int, error) {
 			if count != rec.events {
 				return nil, -1, fmt.Errorf("%w: trailer count %d != %d", ErrCorrupt, count, rec.events)
 			}
-			if br.Len() != 0 {
-				return nil, -1, fmt.Errorf("%w: %d bytes after trailer", ErrCorrupt, br.Len())
+			if rest := size - pos(); rest != 0 {
+				return nil, -1, fmt.Errorf("%w: %d bytes after trailer", ErrCorrupt, rest)
 			}
 			rec.halted = haltedByte != 0
 			return rec, -1, nil
@@ -575,7 +686,7 @@ func parseArchive(data []byte) (*Recording, int, error) {
 			if err != nil {
 				return rec, frameStart, nil
 			}
-			size, err := binary.ReadUvarint(br)
+			bsize, err := binary.ReadUvarint(br)
 			if err != nil {
 				return rec, frameStart, nil
 			}
@@ -586,16 +697,22 @@ func parseArchive(data []byte) (*Recording, int, error) {
 			// Every event owns one header-plane byte and the field plane
 			// ends with blockPad padding, so size >= count+blockPad; the
 			// decoder's header reads rely on this frame check.
-			if size > maxBlockBytes || count == 0 || size < blockPad || count > size-blockPad {
-				return nil, -1, fmt.Errorf("%w: block header (%d events, %d bytes)", ErrCorrupt, count, size)
+			if bsize > maxBlockBytes || count == 0 || bsize < blockPad || count > bsize-blockPad {
+				return nil, -1, fmt.Errorf("%w: block header (%d events, %d bytes)", ErrCorrupt, count, bsize)
 			}
-			if uint64(br.Len()) < 4+size {
+			if uint64(size-pos()) < 4+bsize {
 				return rec, frameStart, nil // torn inside the block body
 			}
-			p := pos()
-			crc := binary.LittleEndian.Uint32(data[p : p+4])
-			payload := data[p+4 : p+4+int(size)]
-			br.Seek(int64(4+size), io.SeekCurrent)
+			if cap(blk) < 4+int(bsize) {
+				blk = make([]byte, 4+bsize)
+			}
+			blk = blk[:4+bsize]
+			off := pos() + 4
+			if _, err := io.ReadFull(br, blk); err != nil {
+				return rec, frameStart, nil
+			}
+			crc := binary.LittleEndian.Uint32(blk)
+			payload := blk[4:]
 			if crc32.ChecksumIEEE(payload) != crc {
 				return nil, -1, fmt.Errorf("%w: block CRC mismatch at byte %d", errInvalid, frameStart)
 			}
@@ -615,10 +732,10 @@ func parseArchive(data []byte) (*Recording, int, error) {
 				}
 				left -= chunk
 			}
-			rec.blocks = append(rec.blocks, blockRef{count: count, startPC: startPC, payload: payload})
+			rec.blocks = append(rec.blocks, blockRef{off: off, size: uint32(bsize), crc: crc, count: count, startPC: startPC})
 			rec.events += count
-			if int(count) > rec.maxBlock {
-				rec.maxBlock = int(count)
+			if int(bsize) > rec.maxBlock {
+				rec.maxBlock = int(bsize)
 			}
 		default:
 			return nil, -1, fmt.Errorf("%w: unexpected tag %#x at byte %d", ErrCorrupt, tag, frameStart)
@@ -629,7 +746,7 @@ func parseArchive(data []byte) (*Recording, int, error) {
 // headerErr classifies a failed header-field read: a truncated source is
 // a torn tail (recoverable on the newest file), anything else is
 // structural corruption.
-func headerErr(err error, what string) (*Recording, int, error) {
+func headerErr(err error, what string) (*Recording, int64, error) {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return nil, 0, nil
 	}
@@ -644,12 +761,31 @@ func (a *Archive) Lookup(bench string, seed uint64) (*Recording, bool) {
 	return rec, ok
 }
 
-// Invalidate drops the in-memory recording for (bench, seed), forcing
-// the next lookup to miss (and the caller to re-record).
+// Invalidate drops the loaded recording for (bench, seed), forcing the
+// next lookup to miss (and the caller to re-record). Its file handle is
+// left to the finalizer, since a concurrent replay may still hold it.
 func (a *Archive) Invalidate(bench string, seed uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	delete(a.recs, archKey{bench, seed})
+}
+
+// Close closes the file handles of the loaded recordings and empties
+// the index, so later lookups miss. A replay still running on a closed
+// recording fails with an error wrapping ErrCorrupt. The directory is
+// untouched; OpenArchive serves it again.
+func (a *Archive) Close() error {
+	a.mu.Lock()
+	recs := a.recs
+	a.recs = make(map[archKey]*Recording)
+	a.mu.Unlock()
+	var errs []error
+	for _, r := range recs {
+		if c, ok := r.src.(io.Closer); ok {
+			errs = append(errs, c.Close())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Lock acquires the single-flight record lock for (bench, seed),
@@ -866,7 +1002,8 @@ func (rec *Recorder) Abort() { rec.discard() }
 // Commit seals the recording (trailer, fsync), atomically renames it
 // into place, and installs the validated recording in the archive
 // index. The committed file is re-parsed through the same validator
-// Open uses, so a writer bug can never install an unreplayable stream.
+// Open uses, so a writer bug can never install an unreplayable stream;
+// the recorder's file handle becomes the recording's source.
 func (rec *Recorder) Commit(halted bool) error {
 	if rec.closed {
 		return errors.New("tracefile: recorder already closed")
@@ -895,27 +1032,22 @@ func (rec *Recorder) Commit(halted bool) error {
 		rec.discard()
 		return err
 	}
-	if err := rec.f.Close(); err != nil {
-		rec.closed = true
-		os.Remove(rec.path)
-		return err
-	}
-	rec.closed = true
-	data, err := os.ReadFile(rec.path)
+	fi, err := rec.f.Stat()
 	if err != nil {
-		os.Remove(rec.path)
+		rec.discard()
 		return err
 	}
-	loaded, tornAt, err := parseArchive(data)
+	loaded, tornAt, err := parseArchive(rec.f, fi.Size())
 	if err != nil || tornAt >= 0 {
-		os.Remove(rec.path)
+		rec.discard()
 		return fmt.Errorf("tracefile: fresh recording failed validation (torn at %d): %w", tornAt, err)
 	}
 	final := rec.a.recPath(rec.bench, rec.seed)
 	if err := os.Rename(rec.path, final); err != nil {
-		os.Remove(rec.path)
+		rec.discard()
 		return err
 	}
+	rec.closed = true
 	rec.a.mu.Lock()
 	rec.a.recs[archKey{rec.bench, rec.seed}] = loaded
 	rec.a.mu.Unlock()

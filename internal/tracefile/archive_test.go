@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -373,6 +374,9 @@ func firstBlockPayloadOffset(t *testing.T, data []byte) int {
 	if _, err := binary.ReadUvarint(br); err != nil { // size
 		t.Fatal(err)
 	}
+	if _, err := binary.ReadUvarint(br); err != nil { // start pc
+		t.Fatal(err)
+	}
 	return len(data) - br.Len() + 4 // skip the CRC
 }
 
@@ -432,6 +436,144 @@ func TestArchiveBlockCorruptionFallsBackAndReRecords(t *testing.T) {
 		t.Fatal(err)
 	} else if st := again.Stats(); st.Invalidated != 0 || st.Recordings != 1 {
 		t.Fatalf("re-record did not replace the damaged file: %+v", st)
+	}
+}
+
+// flipAt XORs one byte of the file at path in place, so a reader that
+// already holds the file open sees the change.
+func flipAt(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayDetectsCorruptionAfterOpen: blocks are read back from the
+// file on every replay, so a byte flipped inside a block after Open
+// (or Commit) fails both replay planes with ErrCorrupt instead of
+// delivering a wrong stream, as does a file cut short under the reader.
+func TestReplayDetectsCorruptionAfterOpen(t *testing.T) {
+	dir := t.TempDir()
+	a, _, _, _ := recordInto(t, dir, "arch", 0)
+	rec, ok := a.Lookup("arch", 1)
+	if !ok {
+		t.Fatal("recording not found")
+	}
+	path := archFile(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipAt(t, path, int64(firstBlockPayloadOffset(t, data)))
+	for name, sink := range map[string]trace.BatchConsumer{
+		"ctl":  trace.NewHash(),
+		"full": trace.ForceFullPlane(trace.NewHash()),
+	} {
+		n, _, err := rec.Replay(0, nil, sink)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if n != 0 {
+			t.Fatalf("%s: delivered %d events from a damaged first block", name, n)
+		}
+	}
+
+	// Restore the byte, then cut the file inside its last block.
+	flipAt(t, path, int64(firstBlockPayloadOffset(t, data)))
+	if _, _, err := rec.Replay(0, nil, trace.NewHash()); err != nil {
+		t.Fatalf("restored file: %v", err)
+	}
+	if err := os.Truncate(path, int64(len(data))-blockPad-trailerLen(rec.Events())); err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := rec.Replay(0, nil, trace.NewHash())
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated file: err = %v, want ErrCorrupt", err)
+	}
+	if n == 0 || n >= rec.Events() {
+		t.Fatalf("truncated file: delivered %d of %d events, want the intact blocks only", n, rec.Events())
+	}
+}
+
+// TestReplayOutlivesReRecord: a re-record installs a new file under the
+// same name; a recording loaded before it keeps replaying the old bytes
+// through its own handle.
+func TestReplayOutlivesReRecord(t *testing.T) {
+	dir := t.TempDir()
+	a, n, hash, _ := recordInto(t, dir, "arch", 0)
+	old, _ := a.Lookup("arch", 1)
+	u := buildArchUnit(t, "arch")
+	rec, err := a.BeginRecord("arch", 1, u.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := u.NewCPU()
+	if _, err := cpu.Run(n/2, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Commit(cpu.Halted()); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, _ := a.Lookup("arch", 1); fresh == old || fresh.Events() != n/2 {
+		t.Fatal("re-record did not install the new recording")
+	}
+	h := trace.NewHash()
+	got, _, err := old.Replay(0, nil, h)
+	if err != nil || got != n || h.Sum != hash {
+		t.Fatalf("old recording after re-record: %d events hash %x err %v, want %d hash %x", got, h.Sum, err, n, hash)
+	}
+}
+
+// TestArchiveCloseReleasesHandles: every loaded recording holds its
+// file open; Close releases them all, so opening and closing an
+// 18-recording archive repeatedly leaves the descriptor count flat.
+func TestArchiveCloseReleasesHandles(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd on this platform")
+	}
+	dir := t.TempDir()
+	for i := 0; i < 18; i++ {
+		a, _, _, _ := recordInto(t, dir, fmt.Sprintf("b%02d", i), 2_000)
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fds := func() int {
+		t.Helper()
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	before := fds()
+	for i := 0; i < 50; i++ {
+		a, err := OpenArchive(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Stats().Recordings; got != 18 {
+			t.Fatalf("open %d: %d recordings, want 18", i, got)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := a.Lookup("b00", 1); ok {
+			t.Fatal("closed archive still serves a recording")
+		}
+	}
+	if after := fds(); after > before {
+		t.Fatalf("open file descriptors grew from %d to %d over 50 open/close cycles", before, after)
 	}
 }
 
@@ -603,7 +745,7 @@ func FuzzReplayArchive(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rec, _, err := parseArchive(b)
+		rec, _, err := parseArchive(bytes.NewReader(b), int64(len(b)))
 		if err != nil || rec == nil {
 			return
 		}

@@ -4,7 +4,6 @@ package tracefile
 // image and the packed event records of each block.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -39,10 +38,16 @@ func appendProgram(buf []byte, p *program.Program) []byte {
 	return buf
 }
 
+// byteReader is the sequential source readProgram decodes from.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 // readProgram decodes and validates a program image. Errors wrap both
 // ErrCorrupt and the underlying cause, so callers can distinguish a
 // truncated source (io.EOF / io.ErrUnexpectedEOF) from malformed bytes.
-func readProgram(br *bytes.Reader) (*program.Program, error) {
+func readProgram(br byteReader) (*program.Program, error) {
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: name: %w", ErrCorrupt, err)
@@ -476,8 +481,9 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 // receives the run-boundary indices; the count is returned.
 //
 // This path never re-validates the block tail — every block was
-// full-decoded once at parse time (parseArchive / Commit), so a
-// control-plane replay is working over bytes already proven well-formed.
+// full-decoded once at parse time (parseArchive / Commit) and Replay
+// re-checks the block's CRC before decoding it, so a control-plane
+// replay is working over bytes already proven well-formed.
 // The offsets thread through successive calls exactly as in
 // decodeEventsPacked, so full and ctl chunked decodes interleave
 // identically with budget truncation.

@@ -38,8 +38,9 @@
 // 10^9) necessarily shrink what cannot fit: grid extents and therefore
 // instructions/iteration for the large FP codes, and total static-loop
 // counts (code not reached in the window). The published values live
-// in each benchmark's PaperRow, and perfbench's paper_rel_err (see
-// perfbench/README.md) scores the deviation; the headline quantities
-// (TPC per machine size, hit ratios, iterations/execution, nesting
-// shape) are preserved.
+// in each benchmark's PaperRow; perfbench's paper_rel_err scores the
+// deviation (perfbench/README.md, "Model check"), and
+// perfbench/steadiness.json records it on seed 1 and on the held-out
+// seed 1009. The headline quantities (TPC per machine size, hit ratios,
+// iterations/execution, nesting shape) are preserved.
 package workload

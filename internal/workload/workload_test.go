@@ -103,7 +103,9 @@ func TestDeterministicAcrossBuilds(t *testing.T) {
 
 // TestCalibration prints the Table-1-style comparison (run with -v).
 // It asserts only the coarse qualitative shape; perfbench's
-// paper_rel_err scores the full numbers against PaperRow.
+// paper_rel_err scores the full numbers against PaperRow
+// (perfbench/README.md, "Model check"; perfbench/steadiness.json
+// records it on the held-out seed 1009).
 func TestCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration is a long test")

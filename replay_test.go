@@ -6,12 +6,17 @@ import (
 	"testing"
 
 	"dynloop"
+	"dynloop/internal/datapred"
 	"dynloop/internal/expt"
 	"dynloop/internal/grid"
 	"dynloop/internal/harness"
+	"dynloop/internal/loopdet"
+	"dynloop/internal/loopstats"
 	"dynloop/internal/runner"
+	"dynloop/internal/spec"
 	"dynloop/internal/trace"
 	"dynloop/internal/tracefile"
+	"dynloop/internal/workload"
 )
 
 // newTraces opens a fresh trace archive in a test temp dir.
@@ -256,5 +261,69 @@ func TestReplayTruncationEquivalence(t *testing.T) {
 		if got.Sum != want.Sum {
 			t.Fatalf("budget %d: replay hash %x != interpreted hash %x", budget, got.Sum, want.Sum)
 		}
+	}
+}
+
+// TestLoopEventPassesAllocsFlat pins the per-loop-execution path of the
+// loop-event passes at zero allocations: loop-execution records, engine
+// loop states and data-speculation frames are recycled per instance. The
+// detector, the speculation engine (4 TUs, STR(3)), the data-speculation
+// collector and loopstats consume a replayed swim stream at budget B and
+// at 4B; once warm, a run at 4B (over twice the loop executions) must
+// not allocate more than a run at B.
+func TestLoopEventPassesAllocsFlat(t *testing.T) {
+	const budget = 250_000
+	bm, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := bm.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := tracefile.OpenArchive(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	w, err := a.BeginRecord(bm.Name, 1, u.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := u.NewCPU()
+	if _, err := cpu.Run(4*budget, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(cpu.Halted()); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := a.Lookup(bm.Name, 1)
+	if !ok {
+		t.Fatal("recording not installed")
+	}
+	var d tracefile.Decoder
+	measure := func(b uint64) (allocs float64, execs uint64) {
+		det := loopdet.New(loopdet.Config{Capacity: 16})
+		det.AddObserver(loopstats.NewCollector())
+		det.AddObserver(spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)}))
+		det.AddObserver(datapred.NewCollector(datapred.Config{}))
+		allocs = testing.AllocsPerRun(10, func() {
+			p0 := det.Stats().Pushes
+			if _, _, err := rec.Replay(b, &d, det); err != nil {
+				t.Fatal(err)
+			}
+			det.Flush()
+			execs = det.Stats().Pushes - p0
+		})
+		return allocs, execs
+	}
+	small, smallExecs := measure(budget)
+	large, largeExecs := measure(4 * budget)
+	if largeExecs < 2*smallExecs {
+		t.Fatalf("4x budget ran %d loop executions against %d: too few to tell", largeExecs, smallExecs)
+	}
+	if large > small {
+		t.Fatalf("allocations grow with loop executions: %v per run at %d executions, %v at %d",
+			small, smallExecs, large, largeExecs)
 	}
 }

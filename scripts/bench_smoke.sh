@@ -22,17 +22,24 @@
 # gate allows a noise ratio; losing the header-plane decode puts
 # replay at full-decode cost (~+22%), which trips it.
 #
+# Each gate takes SAMPLES samples, one go test process per sample, so
+# the two legs alternate through the host's slow and fast phases, and
+# gates on the median of the per-sample ratios. One sample flakes on a
+# shared host: a single run has read Run/Reference 0.96 against the 0.73
+# gate with the next reading 0.71.
+#
 # CI runs this; locally: scripts/bench_smoke.sh
 set -euo pipefail
 
 RUN_RATIO="${BENCH_SMOKE_RUN_RATIO:-0.73}"
 REPLAY_RATIO="${BENCH_SMOKE_REPLAY_RATIO:-1.15}"
 ITERS="${BENCH_SMOKE_ITERS:-2000000}"
+SAMPLES="${BENCH_SMOKE_SAMPLES:-5}"
 
 fail() { echo "bench_smoke: FAIL: $*" >&2; exit 1; }
 
-# parse_line VAR_PREFIX REGEX OUT — extracts ns/op and allocs/op from
-# the first benchmark result line matching REGEX.
+# parse REGEX OUT — extracts ns/op and allocs/op from the first
+# benchmark result line matching REGEX.
 parse() {
 	local line
 	line="$(echo "$2" | grep -E "$1")" || fail "no result line matching $1"
@@ -42,30 +49,42 @@ parse() {
 	[ -n "$ALLOCS" ] || fail "could not parse allocs/op from: $line"
 }
 
-echo "bench_smoke: BenchmarkRun vs BenchmarkRunReference x$ITERS (ratio <= ${RUN_RATIO})"
-OUT="$(go test -run='^$' -bench='^BenchmarkRun(Reference)?$' -benchtime="${ITERS}x" .)"
-echo "$OUT"
+# median — prints the median of the numbers on stdin, one per line.
+median() {
+	sort -g | awk '{v[NR] = $1} END {print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2}'
+}
 
-parse '^BenchmarkRunReference\b' "$OUT"
-REF_NS="$NS"
-parse '^BenchmarkRun\b' "$OUT"
-RUN_NS="$NS"
-[ "$ALLOCS" = "0" ] || fail "BenchmarkRun allocates (${ALLOCS} allocs/op), want 0"
-awk -v r="$RUN_NS" -v ref="$REF_NS" -v k="$RUN_RATIO" 'BEGIN { exit !(r <= ref * k) }' ||
-	fail "BenchmarkRun at ${RUN_NS} ns/instr exceeds ${RUN_RATIO}x the reference path's ${REF_NS} ns/instr"
+echo "bench_smoke: $SAMPLES interleaved samples x$ITERS: BenchmarkRun/BenchmarkRunReference (median <= ${RUN_RATIO}), BenchmarkTraceReplay replay/interpret (median <= ${REPLAY_RATIO})"
+RUN_RATIOS=""
+REPLAY_RATIOS=""
+for i in $(seq "$SAMPLES"); do
+	OUT="$(go test -run='^$' -bench='^BenchmarkRun(Reference)?$' -benchtime="${ITERS}x" .)"
+	parse '^BenchmarkRunReference\b' "$OUT"
+	REF_NS="$NS"
+	parse '^BenchmarkRun\b' "$OUT"
+	RUN_NS="$NS"
+	[ "$ALLOCS" = "0" ] || fail "BenchmarkRun allocates (${ALLOCS} allocs/op), want 0"
+	R="$(awk -v r="$RUN_NS" -v ref="$REF_NS" 'BEGIN { printf "%.4f", r / ref }')"
+	echo "  sample $i: run ${RUN_NS} / reference ${REF_NS} ns/instr = $R"
+	RUN_RATIOS="$RUN_RATIOS$R"$'\n'
 
-echo "bench_smoke: BenchmarkTraceReplay interpret vs replay x$ITERS (ratio <= ${REPLAY_RATIO})"
-OUT="$(go test -run='^$' -bench='^BenchmarkTraceReplay/(interpret|replay)$' -benchtime="${ITERS}x" .)"
-echo "$OUT"
+	OUT="$(go test -run='^$' -bench='^BenchmarkTraceReplay/(interpret|replay)$' -benchtime="${ITERS}x" .)"
+	parse '^BenchmarkTraceReplay/interpret\b' "$OUT"
+	INTERP_NS="$NS"
+	[ "$ALLOCS" = "0" ] || fail "interpret leg allocates (${ALLOCS} allocs/op), want 0"
+	parse '^BenchmarkTraceReplay/replay\b' "$OUT"
+	REPLAY_NS="$NS"
+	[ "$ALLOCS" = "0" ] || fail "replay leg allocates (${ALLOCS} allocs/op), want 0"
+	R="$(awk -v r="$REPLAY_NS" -v i="$INTERP_NS" 'BEGIN { printf "%.4f", r / i }')"
+	echo "  sample $i: replay ${REPLAY_NS} / interpret ${INTERP_NS} ns/instr = $R"
+	REPLAY_RATIOS="$REPLAY_RATIOS$R"$'\n'
+done
 
-parse '^BenchmarkTraceReplay/interpret\b' "$OUT"
-INTERP_NS="$NS"
-[ "$ALLOCS" = "0" ] || fail "interpret leg allocates (${ALLOCS} allocs/op), want 0"
-parse '^BenchmarkTraceReplay/replay\b' "$OUT"
-REPLAY_NS="$NS"
-[ "$ALLOCS" = "0" ] || fail "replay leg allocates (${ALLOCS} allocs/op), want 0"
+RUN_MED="$(printf '%s' "$RUN_RATIOS" | median)"
+REPLAY_MED="$(printf '%s' "$REPLAY_RATIOS" | median)"
+awk -v m="$RUN_MED" -v k="$RUN_RATIO" 'BEGIN { exit !(m <= k) }' ||
+	fail "BenchmarkRun's median ratio to the reference path, ${RUN_MED}, exceeds ${RUN_RATIO}"
+awk -v m="$REPLAY_MED" -v k="$REPLAY_RATIO" 'BEGIN { exit !(m <= k) }' ||
+	fail "full replay's median ratio to interpretation, ${REPLAY_MED}, exceeds the ${REPLAY_RATIO} noise ratio"
 
-awk -v r="$REPLAY_NS" -v i="$INTERP_NS" -v k="$REPLAY_RATIO" 'BEGIN { exit !(r <= i * k) }' ||
-	fail "full replay (${REPLAY_NS} ns/instr) regressed above interpretation (${INTERP_NS} ns/instr) beyond the ${REPLAY_RATIO}x noise ratio"
-
-echo "bench_smoke: OK (run ${RUN_NS} vs reference ${REF_NS} ns/instr; replay ${REPLAY_NS} vs interpret ${INTERP_NS} ns/instr; 0 allocs)"
+echo "bench_smoke: OK (median ratios: run/reference ${RUN_MED}, replay/interpret ${REPLAY_MED}; 0 allocs)"
