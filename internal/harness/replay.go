@@ -156,7 +156,7 @@ func (t *Traces) replay(rec *tracefile.Recording, cfg MultiConfig, passes ...tra
 			// The file was damaged after it was validated at load. The
 			// passes have seen a partial stream, so this run fails; drop
 			// the recording so the next MultiRun re-records it.
-			t.arch.Invalidate(rec.Bench(), rec.Seed())
+			t.arch.Invalidate(rec)
 		}
 		return MultiResult{Executed: n, Batches: b.Epochs()}, err
 	}

@@ -761,13 +761,19 @@ func (a *Archive) Lookup(bench string, seed uint64) (*Recording, bool) {
 	return rec, ok
 }
 
-// Invalidate drops the loaded recording for (bench, seed), forcing the
-// next lookup to miss (and the caller to re-record). Its file handle is
-// left to the finalizer, since a concurrent replay may still hold it.
-func (a *Archive) Invalidate(bench string, seed uint64) {
+// Invalidate drops rec from the archive, forcing the next lookup of its
+// (bench, seed) to miss (and the caller to re-record). It does nothing
+// if rec has already been replaced, so a late failure on a stale
+// recording never drops the fresh one recorded in its place. The file
+// handle is left to the finalizer, since a concurrent replay may still
+// hold it.
+func (a *Archive) Invalidate(rec *Recording) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	delete(a.recs, archKey{bench, seed})
+	k := archKey{rec.bench, rec.seed}
+	if a.recs[k] == rec {
+		delete(a.recs, k)
+	}
 }
 
 // Close closes the file handles of the loaded recordings and empties

@@ -507,7 +507,7 @@ func TestReplayDetectsCorruptionAfterOpen(t *testing.T) {
 
 // TestReplayOutlivesReRecord: a re-record installs a new file under the
 // same name; a recording loaded before it keeps replaying the old bytes
-// through its own handle.
+// through its own handle, and invalidating it leaves the new one loaded.
 func TestReplayOutlivesReRecord(t *testing.T) {
 	dir := t.TempDir()
 	a, n, hash, _ := recordInto(t, dir, "arch", 0)
@@ -524,13 +524,23 @@ func TestReplayOutlivesReRecord(t *testing.T) {
 	if err := rec.Commit(cpu.Halted()); err != nil {
 		t.Fatal(err)
 	}
-	if fresh, _ := a.Lookup("arch", 1); fresh == old || fresh.Events() != n/2 {
+	fresh, _ := a.Lookup("arch", 1)
+	if fresh == old || fresh.Events() != n/2 {
 		t.Fatal("re-record did not install the new recording")
 	}
 	h := trace.NewHash()
 	got, _, err := old.Replay(0, nil, h)
 	if err != nil || got != n || h.Sum != hash {
 		t.Fatalf("old recording after re-record: %d events hash %x err %v, want %d hash %x", got, h.Sum, err, n, hash)
+	}
+	// A late failure on the stale recording must not drop the fresh one.
+	a.Invalidate(old)
+	if cur, ok := a.Lookup("arch", 1); !ok || cur != fresh {
+		t.Fatal("invalidating the replaced recording dropped its successor")
+	}
+	a.Invalidate(fresh)
+	if _, ok := a.Lookup("arch", 1); ok {
+		t.Fatal("invalidating the current recording left it loaded")
 	}
 }
 

@@ -22,7 +22,7 @@
 # gate allows a noise ratio; losing the header-plane decode puts
 # replay at full-decode cost (~+22%), which trips it.
 #
-# Each gate takes SAMPLES samples, one go test process per sample, so
+# Each gate takes 5 samples, one go test process per sample, so
 # the two legs alternate through the host's slow and fast phases, and
 # gates on the median of the per-sample ratios. One sample flakes on a
 # shared host: a single run has read Run/Reference 0.96 against the 0.73
@@ -34,7 +34,7 @@ set -euo pipefail
 RUN_RATIO="${BENCH_SMOKE_RUN_RATIO:-0.73}"
 REPLAY_RATIO="${BENCH_SMOKE_REPLAY_RATIO:-1.15}"
 ITERS="${BENCH_SMOKE_ITERS:-2000000}"
-SAMPLES="${BENCH_SMOKE_SAMPLES:-5}"
+SAMPLES=5
 
 fail() { echo "bench_smoke: FAIL: $*" >&2; exit 1; }
 
@@ -49,9 +49,10 @@ parse() {
 	[ -n "$ALLOCS" ] || fail "could not parse allocs/op from: $line"
 }
 
-# median — prints the median of the numbers on stdin, one per line.
+# median — prints the median of the numbers on stdin, one per line;
+# fails on empty input rather than reading it as 0.
 median() {
-	sort -g | awk '{v[NR] = $1} END {print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2}'
+	sort -g | awk '{v[NR] = $1} END {if (NR == 0) exit 1; print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2}'
 }
 
 echo "bench_smoke: $SAMPLES interleaved samples x$ITERS: BenchmarkRun/BenchmarkRunReference (median <= ${RUN_RATIO}), BenchmarkTraceReplay replay/interpret (median <= ${REPLAY_RATIO})"
@@ -80,8 +81,8 @@ for i in $(seq "$SAMPLES"); do
 	REPLAY_RATIOS="$REPLAY_RATIOS$R"$'\n'
 done
 
-RUN_MED="$(printf '%s' "$RUN_RATIOS" | median)"
-REPLAY_MED="$(printf '%s' "$REPLAY_RATIOS" | median)"
+RUN_MED="$(printf '%s' "$RUN_RATIOS" | median)" || fail "no BenchmarkRun samples"
+REPLAY_MED="$(printf '%s' "$REPLAY_RATIOS" | median)" || fail "no BenchmarkTraceReplay samples"
 awk -v m="$RUN_MED" -v k="$RUN_RATIO" 'BEGIN { exit !(m <= k) }' ||
 	fail "BenchmarkRun's median ratio to the reference path, ${RUN_MED}, exceeds ${RUN_RATIO}"
 awk -v m="$REPLAY_MED" -v k="$REPLAY_RATIO" 'BEGIN { exit !(m <= k) }' ||
