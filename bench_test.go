@@ -183,9 +183,11 @@ func BenchmarkAblationNestRule(b *testing.B) {
 // benchPipeline drives b.N instructions of swim through the full
 // pipeline — interpreter feeding the detector in batches, with the
 // Table-1 statistics collector and a 4-TU STR(3) speculation engine
-// attached — at the given event-batch size (0 = default). time/op is
-// ns/instruction.
-func benchPipeline(b *testing.B, batchSize int, reference bool) {
+// attached — at the given event-batch size (0 = default). Both observers
+// only count the raw stream, so the pipeline negotiates control-plane
+// delivery unless fullPlane forces full events (the reference path
+// always fills them). time/op is ns/instruction.
+func benchPipeline(b *testing.B, batchSize int, reference, fullPlane bool) {
 	bm, err := dynloop.BenchmarkByName("swim")
 	if err != nil {
 		b.Fatal(err)
@@ -197,6 +199,10 @@ func benchPipeline(b *testing.B, batchSize int, reference bool) {
 	det := loopdet.New(loopdet.Config{Capacity: 16})
 	det.AddObserver(loopstats.NewCollector())
 	det.AddObserver(spec.NewEngine(spec.Config{TUs: 4, Policy: spec.STRn(3)}))
+	var sink trace.BatchConsumer = det
+	if fullPlane {
+		sink = trace.ForceFullPlane(det)
+	}
 	cpu := u.NewCPU()
 	cpu.SetBatchSize(batchSize)
 	cpu.SetReference(reference)
@@ -204,7 +210,7 @@ func benchPipeline(b *testing.B, batchSize int, reference bool) {
 	b.ResetTimer()
 	remaining := uint64(b.N)
 	for remaining > 0 {
-		n, err := cpu.Run(remaining, det)
+		n, err := cpu.Run(remaining, sink)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,7 +232,17 @@ func benchPipeline(b *testing.B, batchSize int, reference bool) {
 // per-instruction steady-state allocation count the batch pipeline pins
 // at 0.
 func BenchmarkRun(b *testing.B) {
-	benchPipeline(b, 0, false)
+	benchPipeline(b, 0, false, false)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// BenchmarkRunFullPlane runs the same pipeline with full-event delivery
+// forced (trace.ForceFullPlane), so the predecoded full-plane loop that
+// data-facet passes such as the §4 live-in study run on stays measured
+// and gated now that BenchmarkRun negotiates the control plane.
+func BenchmarkRunFullPlane(b *testing.B) {
+	benchPipeline(b, 0, false, true)
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
@@ -238,7 +254,7 @@ func BenchmarkRun(b *testing.B) {
 //
 //	go test -run=^$ -bench='^BenchmarkRun(Reference)?$' .
 func BenchmarkRunReference(b *testing.B) {
-	benchPipeline(b, 0, true)
+	benchPipeline(b, 0, true, false)
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
@@ -251,12 +267,14 @@ func BenchmarkRunReference(b *testing.B) {
 // at the knee.
 func BenchmarkRunBatchSize(b *testing.B) {
 	for _, bs := range []int{1, 64, 256, 512, 1024, 2048, 4096} {
-		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) { benchPipeline(b, bs, false) })
+		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) { benchPipeline(b, bs, false, false) })
 	}
 }
 
-// BenchmarkInterpreter measures raw interpreter throughput (no
-// consumers).
+// BenchmarkInterpreter measures the per-Run fixed cost: one
+// instruction per Run call with no sink, so time/op is the call's
+// overhead around the retire loop, metrics included, rather than
+// instruction work.
 func BenchmarkInterpreter(b *testing.B) {
 	bm, err := dynloop.BenchmarkByName("swim")
 	if err != nil {

@@ -585,8 +585,8 @@ func printRunnerStats(r *runner.Runner, progress bool, seed uint64) {
 	}
 	ictl, ifull := interp.PlaneRuns()
 	rctl, rfull := tracefile.ReplayPlaneRuns()
-	fmt.Fprintf(os.Stderr, "obs: %d instructions interpreted (last run %.2f ns/instr), %d traversals, %d replays; plane runs ctl/full: interp %d/%d, replay %d/%d\n",
-		interp.Instructions(), interp.LastNsPerInstr(), harness.Traversals(), harness.Replays(), ictl, ifull, rctl, rfull)
+	fmt.Fprintf(os.Stderr, "obs: %d instructions interpreted (last traversal %.2f ns/instr), %d traversals, %d replays; plane runs ctl/full: interp %d/%d, replay %d/%d\n",
+		interp.Instructions(), harness.LastNsPerInstr(), harness.Traversals(), harness.Replays(), ictl, ifull, rctl, rfull)
 }
 
 // profileFlags adds -cpuprofile/-memprofile to fs and returns a start

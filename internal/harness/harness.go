@@ -14,6 +14,7 @@ package harness
 
 import (
 	"sync/atomic"
+	"time"
 
 	"dynloop/internal/builder"
 	"dynloop/internal/loopdet"
@@ -30,12 +31,20 @@ const DefaultCLSCapacity = 16
 // into the obs registry for /metrics.
 var traversals atomic.Uint64
 
-var mTraversals = obs.NewCounter("dynloop_traversals_total",
-	"Interpreter traversals started by Run/MultiRun (replays excluded).")
+var (
+	mTraversals = obs.NewCounter("dynloop_traversals_total",
+		"Interpreter traversals started by Run/MultiRun (replays excluded).")
+	mNsPerInstr = obs.NewGauge("dynloop_interp_ns_per_instr",
+		"Nanoseconds per instruction of the most recent interpreter traversal.")
+)
 
 // Traversals returns the process-lifetime count of stream traversals
 // started by Run and MultiRun.
 func Traversals() uint64 { return traversals.Load() }
+
+// LastNsPerInstr returns the ns/instr of the most recent interpreter
+// traversal, passes included.
+func LastNsPerInstr() float64 { return mNsPerInstr.Value() }
 
 // ResolveCLSCapacity maps the harness capacity convention to a
 // loopdet.Config capacity: 0 selects DefaultCLSCapacity, negative means
@@ -159,18 +168,31 @@ type MultiResult struct {
 // every pass owns whatever detector or tables it needs, the results are
 // identical to running each pass in its own traversal.
 func MultiRun(u *builder.Unit, cfg MultiConfig, passes ...trace.Pass) (MultiResult, error) {
+	b := trace.NewBroadcast(cfg.Shards, passes...)
+	n, halted, err := traverse(u, cfg, b, cfg.sink(b))
+	return MultiResult{Executed: n, Halted: halted, Batches: b.Epochs()}, err
+}
+
+// traverse is one interpreter traversal of u into sink, which delivers
+// to b (possibly alongside a recorder): b's Init before the first batch,
+// Finalize after the last, Stop instead on error. It counts the
+// traversal and reads the clock once for it, into the ns/instr gauge.
+func traverse(u *builder.Unit, cfg MultiConfig, b *trace.Broadcast, sink trace.BatchConsumer) (uint64, bool, error) {
 	traversals.Add(1)
 	mTraversals.Inc()
 	cpu := u.NewCPU()
 	cpu.SetBatchSize(cfg.BatchSize)
 	cpu.SetReference(cfg.Reference)
-	b := trace.NewBroadcast(cfg.Shards, passes...)
 	b.Init()
-	n, err := cpu.Run(cfg.Budget, cfg.sink(b))
+	start := time.Now()
+	n, err := cpu.Run(cfg.Budget, sink)
+	if n > 0 {
+		mNsPerInstr.Set(float64(time.Since(start).Nanoseconds()) / float64(n))
+	}
 	if err != nil {
 		b.Stop()
-		return MultiResult{Executed: n, Batches: b.Epochs()}, err
+		return n, false, err
 	}
 	b.Finalize()
-	return MultiResult{Executed: n, Halted: cpu.Halted(), Batches: b.Epochs()}, nil
+	return n, cpu.Halted(), nil
 }

@@ -116,25 +116,17 @@ func (t *Traces) MultiRun(ctx context.Context, bench string, seed uint64,
 		res, err := MultiRun(u, cfg, passes...)
 		return res, false, err
 	}
-	traversals.Add(1)
-	mTraversals.Inc()
-	cpu := u.NewCPU()
-	cpu.SetBatchSize(cfg.BatchSize)
-	cpu.SetReference(cfg.Reference)
 	b := trace.NewBroadcast(cfg.Shards, passes...)
-	b.Init()
-	n, err := cpu.Run(cfg.Budget, trace.BatchTee{rec, b})
+	n, halted, err := traverse(u, cfg, b, trace.BatchTee{rec, b})
 	if err != nil {
-		b.Stop()
 		rec.Abort()
 		return MultiResult{Executed: n, Batches: b.Epochs()}, false, err
 	}
-	b.Finalize()
 	t.recorded.Add(1)
 	// A failed commit loses the recording but not the run: the passes
 	// already saw the live stream.
-	_ = rec.Commit(cpu.Halted())
-	return MultiResult{Executed: n, Halted: cpu.Halted(), Batches: b.Epochs()}, false, nil
+	_ = rec.Commit(halted)
+	return MultiResult{Executed: n, Halted: halted, Batches: b.Epochs()}, false, nil
 }
 
 // replay feeds the passes from the recording, one batch per block.

@@ -24,7 +24,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"dynloop/internal/isa"
 	"dynloop/internal/program"
@@ -177,20 +176,16 @@ func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	if c.prog == nil {
 		return 0, ErrNoProgram
 	}
-	// Throughput instrumentation is per-Run, never per-instruction: two
-	// timestamps and a few atomic adds amortized over the whole
-	// traversal, with zero allocations.
-	start := time.Now()
+	// Instrumentation is per-Run, never per-instruction: two atomic adds
+	// and no clock read, which would dominate a short Run (callers that
+	// own a whole traversal time it; see harness.MultiRun).
 	n, ctlPlane, err := c.run(budget, sink)
 	if ctlPlane {
 		mRunsCtl.Inc()
 	} else {
 		mRunsFull.Inc()
 	}
-	if n > 0 {
-		mInstructions.Add(n)
-		mNsPerInstr.Set(float64(time.Since(start).Nanoseconds()) / float64(n))
-	}
+	mInstructions.Add(n)
 	return n, err
 }
 

@@ -2,16 +2,14 @@ package interp
 
 import "dynloop/internal/obs"
 
-// Interpreter throughput metrics. All updates happen once per Run call
-// — never per instruction — so a traversal of millions of events costs
-// two timestamps and four atomic operations, invisible next to the
-// retire loop and allocation-free (the AllocsPerRun=0 pins cover the
-// instrumented path).
+// Interpreter metrics. All updates happen once per Run call — never per
+// instruction — and cost two atomic operations and no clock read,
+// invisible next to the retire loop and allocation-free (the
+// AllocsPerRun=0 pins cover the instrumented path). Throughput is timed
+// per traversal by the harness (dynloop_interp_ns_per_instr).
 var (
 	mInstructions = obs.NewCounter("dynloop_interp_instructions_total",
 		"Instructions retired by the interpreter across all Run calls.")
-	mNsPerInstr = obs.NewGauge("dynloop_interp_ns_per_instr",
-		"Nanoseconds per instruction of the most recent Run call.")
 	mRunsCtl = obs.NewCounter("dynloop_interp_runs_total",
 		"Run calls by negotiated event facet.", "plane", "ctl")
 	mRunsFull = obs.NewCounter("dynloop_interp_runs_total",
@@ -27,6 +25,3 @@ func PlaneRuns() (ctl, full uint64) {
 
 // Instructions returns the process-lifetime retired instruction count.
 func Instructions() uint64 { return mInstructions.Value() }
-
-// LastNsPerInstr returns the ns/instr of the most recent Run call.
-func LastNsPerInstr() float64 { return mNsPerInstr.Value() }

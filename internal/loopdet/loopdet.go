@@ -16,9 +16,14 @@
 //   - calls never end executions (subroutine bodies are part of the
 //     iteration that calls them).
 //
-// Loop structure events are delivered to Observers; observers that also
-// implement StreamObserver additionally receive every raw instruction
-// event first, in stream order.
+// Loop structure events are delivered to Observers. The CLS rules read
+// only the control facet of the stream, and so do the observers that
+// merely count it: a RunObserver (the speculation engine, the Table-1
+// statistics) additionally receives the instruction count of every run
+// between loop events, which every producer plane supplies. Only a
+// StreamObserver (the §4 live-in study) reads the raw events
+// themselves, and with it the register and memory values, which pulls
+// the detector onto full-event delivery (see NeedPlanes).
 package loopdet
 
 import (
@@ -116,9 +121,24 @@ type Observer interface {
 	OneShot(t, b isa.Addr, index uint64)
 }
 
+// RunObserver is an Observer that also counts the raw instruction
+// stream without reading it. The detector delivers the stream as runs
+// of contiguous instructions: a run never spans a loop event, it may be
+// cut anywhere else (at batch ends, for one), and InstrRun for a run
+// returns before any loop callback derived from its last instruction.
+// The CLS is therefore in a single consistent state for the whole run.
+// Counting needs no event facet, so a RunObserver keeps the detector on
+// control-plane delivery.
+type RunObserver interface {
+	Observer
+	// InstrRun reports that n more instructions (n > 0) retired, the
+	// last at dynamic index last.
+	InstrRun(n, last uint64)
+}
+
 // StreamObserver is an Observer that also wants the raw instruction
-// stream. Instr is called before any loop event derived from that
-// instruction.
+// stream, data facet included. Instr is called before any loop event
+// derived from that instruction.
 type StreamObserver interface {
 	Observer
 	// Instr receives every retired instruction; the pointee is reused.
@@ -196,6 +216,7 @@ type Detector struct {
 	cls       []*Exec // cls[0] is the deepest/outermost entry
 	free      []*Exec // ended executions, recycled by push
 	obs       []Observer
+	runs      []RunObserver
 	stream    []streamSink
 	nextID    uint64
 	last      uint64
@@ -232,7 +253,8 @@ func New(cfg Config) *Detector {
 
 // AddObserver attaches an observer; observers are invoked in attachment
 // order. Observers that implement StreamObserver also receive raw
-// events, via InstrBatch when they implement BatchStreamObserver.
+// events, via InstrBatch when they implement BatchStreamObserver;
+// otherwise observers that implement RunObserver receive run counts.
 func (d *Detector) AddObserver(o Observer) {
 	d.obs = append(d.obs, o)
 	if s, ok := o.(StreamObserver); ok {
@@ -241,6 +263,8 @@ func (d *Detector) AddObserver(o Observer) {
 			sink.batch = b
 		}
 		d.stream = append(d.stream, sink)
+	} else if r, ok := o.(RunObserver); ok {
+		d.runs = append(d.runs, r)
 	}
 }
 
@@ -272,6 +296,7 @@ func (d *Detector) Stats() Stats { return d.stats }
 
 // Consume processes one retired instruction (trace.Consumer).
 func (d *Detector) Consume(ev *trace.Event) {
+	d.emitRun(1, ev.Index)
 	for i := range d.stream {
 		d.stream[i].scalar.Instr(ev)
 	}
@@ -280,7 +305,7 @@ func (d *Detector) Consume(ev *trace.Event) {
 
 // ConsumeBatch processes a batch of retired instructions
 // (trace.BatchConsumer) with the same observable behaviour as calling
-// Consume per event: raw-stream observers receive the events in
+// Consume per event: run and raw-stream observers receive the events in
 // contiguous runs that end at each control-transfer instruction (the
 // only kind that can produce loop events) and at periodic-flush
 // boundaries, then the loop logic for that instruction runs. Most
@@ -340,13 +365,13 @@ func (d *Detector) ConsumeBatchSegmented(evs []trace.Event, ctl []int32) {
 	d.last = evs[len(evs)-1].Index
 }
 
-// NeedPlanes implements trace.PlaneDeclarer: the CLS rules read only the
-// control facet, so a detector with no raw-stream observers (and no
-// periodic flush, whose boundary can fall mid-run) is control-only and
-// producers may deliver compact control-plane batches. Attaching a
-// StreamObserver — the §4 statistics collectors, the speculation engine
-// — pulls the detector back to full-facet delivery, since raw events
-// must carry the data facet those observers read.
+// NeedPlanes implements trace.PlaneDeclarer: the CLS rules and the run
+// counts of RunObservers read only the control facet, so a detector
+// with no StreamObserver (and no periodic flush, whose boundary can
+// fall mid-run) is control-only and producers may deliver compact
+// control-plane batches. Attaching a StreamObserver — the §4 live-in
+// collector — pulls the detector back to full-facet delivery, since raw
+// events must carry the register and memory values it reads.
 func (d *Detector) NeedPlanes() trace.Planes {
 	if len(d.stream) == 0 && d.flushMask == 0 {
 		return trace.PlaneCtl
@@ -357,9 +382,9 @@ func (d *Detector) NeedPlanes() trace.Planes {
 // ConsumeCtlBatch processes a control-plane batch
 // (trace.CtlBatchConsumer). The producer always supplies the
 // control-transfer indices, so the detector skips straight-line runs
-// entirely: the loop below touches only the boundary events, and the
-// run between boundaries costs nothing at all (there are no stream
-// observers on this path — see NeedPlanes).
+// entirely: the loop below touches only the boundary events, and a run
+// between boundaries costs one count per RunObserver (there are no
+// stream observers on this path — see NeedPlanes).
 func (d *Detector) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
 	if len(evs) == 0 {
 		return
@@ -368,12 +393,17 @@ func (d *Detector) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
 		panic("loopdet: control-plane delivery to a full-facet detector")
 	}
 	d.stats.Instrs += uint64(len(evs))
+	start := 0
 	for _, ci := range ctl {
-		ev := &evs[ci]
+		i := int(ci)
+		ev := &evs[i]
+		d.emitRun(uint64(i+1-start), ev.Index)
+		start = i + 1
 		d.last = ev.Index
 		d.transferCtl(ev)
 	}
 	d.last = evs[len(evs)-1].Index
+	d.emitRun(uint64(len(evs)-start), d.last)
 }
 
 // transferCtl is transfer over the control-plane event representation;
@@ -445,19 +475,31 @@ func (d *Detector) consumeBatchSlow(evs []trace.Event) {
 	d.emitStream(evs[start:])
 }
 
-// emitStream delivers a contiguous run of raw events to the stream
-// observers.
+// emitStream delivers a contiguous run of raw events to the run and
+// stream observers.
 func (d *Detector) emitStream(evs []trace.Event) {
 	if len(evs) == 0 {
 		return
 	}
+	d.emitRun(uint64(len(evs)), evs[len(evs)-1].Index)
 	for i := range d.stream {
 		d.stream[i].deliver(evs)
 	}
 }
 
+// emitRun delivers the count of a contiguous run ending at dynamic index
+// last to the run observers; every consume path funnels through it.
+func (d *Detector) emitRun(n, last uint64) {
+	if n == 0 {
+		return
+	}
+	for _, o := range d.runs {
+		o.InstrRun(n, last)
+	}
+}
+
 // step runs the per-instruction bookkeeping and loop logic (everything
-// Consume does except raw-stream delivery).
+// Consume does except run and raw-stream delivery).
 func (d *Detector) step(ev *trace.Event) {
 	d.stats.Instrs++
 	d.last = ev.Index

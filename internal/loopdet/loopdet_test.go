@@ -401,7 +401,13 @@ func TestCallNeverExits(t *testing.T) {
 }
 
 // TestStreamObserverOrder checks that raw instruction events precede the
-// loop events they trigger.
+// loop events they trigger, and that run counts reach a RunObserver in
+// the same order on every consume path: for one stream fed through
+// Consume, ConsumeBatch, ConsumeBatchSegmented and ConsumeCtlBatch at
+// several batch sizes (and with the periodic flush armed, which keeps
+// the detector off the control plane), the observer must have counted
+// exactly the instructions up to and including the trigger at every
+// loop callback, and the same total at the end.
 type orderObs struct {
 	recObs
 }
@@ -410,10 +416,54 @@ func (o *orderObs) Instr(ev *trace.Event) {
 	o.events = append(o.events, fmt.Sprintf("instr %d", ev.PC))
 }
 
+// runObs is a RunObserver that logs, at every loop callback, how many
+// instructions it has been delivered so far and the index of the last.
+// Runs must be non-empty and contiguous from index 0.
+type runObs struct {
+	t     *testing.T
+	total uint64
+	last  uint64
+	log   []string
+}
+
+func (o *runObs) InstrRun(n, last uint64) {
+	if n == 0 || last+1 != o.total+n {
+		o.t.Fatalf("run of %d ending at %d does not follow %d counted instructions", n, last, o.total)
+	}
+	o.total += n
+	o.last = last
+}
+
+// note logs a loop callback triggered by the instruction at idx; the
+// run holding that instruction must already have been delivered. A
+// flush ends executions at the index after the last consumed one.
+func (o *runObs) note(what string, idx uint64, flush bool) {
+	want := idx + 1
+	if flush {
+		want = idx
+	}
+	if o.total != want {
+		o.t.Fatalf("%s @%d after %d counted instructions, want %d", what, idx, o.total, want)
+	}
+	o.log = append(o.log, fmt.Sprintf("%s @%d last=%d", what, idx, o.last))
+}
+
+func (o *runObs) ExecStart(x *Exec) { o.note(fmt.Sprintf("start %d", x.ID), x.StartIndex, false) }
+func (o *runObs) IterStart(x *Exec, i uint64) {
+	o.note(fmt.Sprintf("iter %d.%d", x.ID, x.Iters), i, false)
+}
+func (o *runObs) ExecEnd(x *Exec, r EndReason, i uint64) {
+	o.note(fmt.Sprintf("end %d %s", x.ID, r), i, r == EndFlush)
+}
+func (o *runObs) OneShot(t, b isa.Addr, i uint64) {
+	o.note(fmt.Sprintf("oneshot %d-%d", t, b), i, false)
+}
+
 func TestStreamObserverOrder(t *testing.T) {
 	d := New(Config{Capacity: 16})
 	obs := &orderObs{}
 	d.AddObserver(obs)
+	d.AddObserver(&runObs{t: t})
 	feed(d, []step{op(1), br(2, 1, true)})
 	wantEvents(t, obs.events, []string{
 		"instr 1",
@@ -421,6 +471,67 @@ func TestStreamObserverOrder(t *testing.T) {
 		"start T=1 B=2",
 		"iter T=1 n=2",
 	})
+
+	if got := trace.PlanesOf(newRunDetector(t, 0)); got != trace.PlaneCtl {
+		t.Fatalf("run-observed detector planes = %v, want ctl-only", got)
+	}
+
+	chunked := func(evs []trace.Event, chunk int, f func([]trace.Event)) {
+		for i := 0; i < len(evs); i += chunk {
+			f(evs[i:min(i+chunk, len(evs))])
+		}
+	}
+	for _, flush := range []uint64{0, 97} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			evs := randomStream(seed*2654435761, 5000)
+			ref := newRunDetector(t, flush)
+			for i := range evs {
+				ev := evs[i]
+				ref.Consume(&ev)
+			}
+			ref.Flush()
+			want := ref.obs[0].(*runObs)
+			if want.total != uint64(len(evs)) {
+				t.Fatalf("flush=%d seed=%d: Consume counted %d instructions, want %d", flush, seed, want.total, len(evs))
+			}
+
+			for _, chunk := range []int{1, 7, 4096} {
+				paths := map[string]func(d *Detector, evs []trace.Event){
+					"batch":     func(d *Detector, evs []trace.Event) { d.ConsumeBatch(evs) },
+					"segmented": func(d *Detector, evs []trace.Event) { d.ConsumeBatchSegmented(evs, segmentIndices(evs)) },
+				}
+				if flush == 0 {
+					paths["ctl"] = func(d *Detector, evs []trace.Event) {
+						d.ConsumeCtlBatch(ctlFacet(evs), segmentIndices(evs))
+					}
+				}
+				for name, consume := range paths {
+					d := newRunDetector(t, flush)
+					chunked(evs, chunk, func(b []trace.Event) { consume(d, b) })
+					d.Flush()
+					got := d.obs[0].(*runObs)
+					if got.total != want.total {
+						t.Fatalf("flush=%d seed=%d %s chunk=%d: counted %d instructions, want %d",
+							flush, seed, name, chunk, got.total, want.total)
+					}
+					if strings.Join(got.log, "\n") != strings.Join(want.log, "\n") {
+						t.Fatalf("flush=%d seed=%d %s chunk=%d: loop callbacks differ from Consume", flush, seed, name, chunk)
+					}
+					if d.Stats() != ref.Stats() {
+						t.Fatalf("flush=%d seed=%d %s chunk=%d: stats %+v, want %+v",
+							flush, seed, name, chunk, d.Stats(), ref.Stats())
+					}
+				}
+			}
+		}
+	}
+}
+
+// newRunDetector returns a detector whose only observer is a runObs.
+func newRunDetector(t *testing.T, flush uint64) *Detector {
+	d := New(Config{Capacity: 8, FlushInterval: flush})
+	d.AddObserver(&runObs{t: t})
+	return d
 }
 
 // TestPeriodicFlush checks the §2.2 safety valve: the CLS is emptied

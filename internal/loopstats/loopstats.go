@@ -7,7 +7,6 @@ package loopstats
 import (
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
-	"dynloop/internal/trace"
 )
 
 // Collector accumulates Table-1 statistics as a detector observer. Attach
@@ -61,24 +60,13 @@ func (c *Collector) find(id uint64) int {
 	return -1
 }
 
-// Instr implements loopdet.StreamObserver: nesting statistics are
+// InstrRun implements loopdet.RunObserver: nesting statistics are
 // instruction-weighted over in-loop instructions and iteration sizes use
-// innermost attribution.
-func (c *Collector) Instr(ev *trace.Event) {
-	c.instrs++
-	if c.depth > 0 {
-		c.inLoop++
-		c.depthWeight += uint64(c.depth)
-		c.acc[len(c.acc)-1]++
-	}
-}
-
-// InstrBatch implements loopdet.BatchStreamObserver. The CLS state is
-// constant across a run (loop events only occur at run boundaries), so
-// the whole run collapses into a handful of additions, including a
-// single increment of the innermost loop's iteration counter.
-func (c *Collector) InstrBatch(evs []trace.Event) {
-	n := uint64(len(evs))
+// innermost attribution. The CLS state is constant across a run (loop
+// events only occur at run boundaries), so the whole run collapses into
+// a handful of additions, including a single increment of the innermost
+// loop's iteration counter.
+func (c *Collector) InstrRun(n, _ uint64) {
 	c.instrs += n
 	if c.depth > 0 {
 		c.inLoop += n

@@ -6,7 +6,6 @@ import (
 	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/looptab"
-	"dynloop/internal/trace"
 )
 
 // NestRule selects how STR(i) counts the "non-speculated loops nested
@@ -189,8 +188,9 @@ type accuracy struct {
 // AddObserver — or bundle it into one pass of a fused multi-pass
 // traversal with harness.NewObserverPass, which is how the experiment
 // drivers run whole policy × TU columns on a single interpretation. It
-// consumes the raw stream (cycle accounting) and the loop events
-// (spawn, verify, squash). Read Metrics after the detector is flushed.
+// counts the raw stream in runs (cycle accounting, see InstrRun) and
+// consumes the loop events (spawn, verify, squash). Read Metrics after
+// the detector is flushed.
 type Engine struct {
 	cfg Config
 	let *looptab.LET
@@ -249,29 +249,14 @@ func (e *Engine) Metrics() Metrics {
 // Clock returns the elapsed cycles.
 func (e *Engine) Clock() uint64 { return e.clock }
 
-// Instr implements loopdet.StreamObserver: every retired instruction
+// InstrRun implements loopdet.RunObserver: every retired instruction
 // costs one cycle unless it was already executed by a promoted
-// speculative thread (skip credit).
-func (e *Engine) Instr(ev *trace.Event) {
-	e.m.Instrs++
-	e.lastIndex = ev.Index
-	if e.skipBudget > 0 {
-		e.skipBudget--
-		return
-	}
-	e.clock++
-}
-
-// InstrBatch implements loopdet.BatchStreamObserver: the cycle/skip
-// accounting over a run is a pair of additions, because no thread can
-// resolve mid-run (loop events only occur at run boundaries).
-func (e *Engine) InstrBatch(evs []trace.Event) {
-	n := uint64(len(evs))
-	if n == 0 {
-		return
-	}
+// speculative thread (skip credit). The accounting over a run is a pair
+// of additions, because no thread can resolve mid-run (loop events only
+// occur at run boundaries).
+func (e *Engine) InstrRun(n, last uint64) {
 	e.m.Instrs += n
-	e.lastIndex = evs[n-1].Index
+	e.lastIndex = last
 	if e.skipBudget >= n {
 		e.skipBudget -= n
 		return
