@@ -527,9 +527,9 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 
 	// The consumer is the control-flow hash, a control-only sink: the
-	// plain legs negotiate control-plane delivery (compact CtlEvents; the
-	// replay side decodes the header plane without materializing value
-	// fields), and the -full legs force full-Event delivery through
+	// plain legs negotiate the sparse control plane (transfers only; the
+	// replay side walks the archive block by block, hopping straight-line
+	// runs), and the -full legs force full-Event delivery through
 	// trace.ForceFullPlane, so the facet split is measured per plane.
 	interpret := func(sink trace.BatchConsumer) func(b *testing.B) {
 		return func(b *testing.B) {

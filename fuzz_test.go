@@ -6,6 +6,7 @@
 package dynloop_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -75,19 +76,32 @@ func fuzzProgram(data []byte) *program.Program {
 	return &program.Program{Name: "fuzz", Code: code}
 }
 
-// ctlCapture is a control-plane-only sink: it records CtlEvents and
+// ctlCapture is a control-plane-only sink: it records the transfers and
 // panics if the producer falls back to full-Event delivery, so a test
-// passing proves the run actually took the ctl loop.
+// passing proves the run actually took the ctl loop. It checks that
+// batches are contiguous and that each transfer lies in its batch's
+// range, keeping the first violation.
 type ctlCapture struct {
-	events []trace.CtlEvent
+	xs  []trace.CtlEvent
+	end uint64 // the last batch's end: Σ(end−first) from index 0
+	bad string
 }
 
 func (c *ctlCapture) ConsumeBatch([]trace.Event) {
 	panic("ctlCapture: full-plane batch delivered to a ctl-only sink")
 }
 
-func (c *ctlCapture) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	c.events = append(c.events, evs...)
+func (c *ctlCapture) ConsumeCtlBatch(xs []trace.CtlEvent, first, end uint64) {
+	if c.bad == "" && (first != c.end || end <= first) {
+		c.bad = fmt.Sprintf("batch [%d, %d) after a batch ending at %d", first, end, c.end)
+	}
+	for _, x := range xs {
+		if c.bad == "" && (x.Index < first || x.Index >= end) {
+			c.bad = fmt.Sprintf("batch [%d, %d) carries index %d", first, end, x.Index)
+		}
+	}
+	c.xs = append(c.xs, xs...)
+	c.end = end
 }
 
 func newFuzzCPU(p *program.Program, reference bool) *interp.CPU {
@@ -105,6 +119,7 @@ func FuzzPredecode(f *testing.F) {
 	f.Add([]byte{2, 3, 16, 5, 3, 1, 4, 3, 1}, uint8(3))  // movi, store, load
 	f.Add([]byte{8, 0, 4, 12, 0, 0, 9, 0, 0}, uint8(2))  // call over a halt, ret
 	f.Add([]byte{10, 1, 0, 10, 2, 1, 7, 0, 0}, uint8(7)) // seqs and a jump
+	f.Add([]byte{2, 1, 5, 11, 0, 0, 0, 1, 2}, uint8(0))  // no transfer at all
 	f.Fuzz(func(t *testing.T, data []byte, bsel uint8) {
 		p := fuzzProgram(data)
 		batch := []int{0, 1, 3, 256}[bsel%4]
@@ -135,8 +150,9 @@ func FuzzPredecode(f *testing.F) {
 		}
 
 		// Control-plane leg: a ctl-only sink runs the dedicated ctl loop,
-		// which must retire the exact control facet of the full stream
-		// with identical machine state and error behaviour.
+		// which must deliver exactly the transfers of the full stream over
+		// contiguous batches covering every retired instruction, with
+		// identical machine state and error behaviour.
 		ctlCPU := newFuzzCPU(p, false)
 		ctlCPU.SetBatchSize(batch)
 		crec := &ctlCapture{}
@@ -153,17 +169,22 @@ func FuzzPredecode(f *testing.F) {
 				t.Fatalf("ctl r%d = %d, full %d", r, ctlCPU.Reg(r), fused.Reg(r))
 			}
 		}
-		facet := make([]trace.CtlEvent, len(frec.Events))
-		for i, ev := range frec.Events {
-			facet[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-				Taken: ev.Taken, Target: ev.Target}
+		if crec.bad != "" || crec.end != cn {
+			t.Fatalf("ctl batches malformed (%s) or cover %d of %d retired", crec.bad, crec.end, cn)
 		}
-		if len(crec.events) != len(facet) {
-			t.Fatalf("ctl stream has %d events, full facet %d", len(crec.events), len(facet))
+		var facet []trace.CtlEvent
+		for _, ev := range frec.Events {
+			if ev.Instr.Kind.EndsRun() {
+				facet = append(facet, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+					Taken: ev.Taken, Target: ev.Target})
+			}
+		}
+		if len(crec.xs) != len(facet) {
+			t.Fatalf("ctl stream has %d transfers, full stream %d", len(crec.xs), len(facet))
 		}
 		for i := range facet {
-			if crec.events[i] != facet[i] {
-				t.Fatalf("ctl event %d = %+v, full facet %+v", i, crec.events[i], facet[i])
+			if crec.xs[i] != facet[i] {
+				t.Fatalf("ctl transfer %d = %+v, full stream %+v", i, crec.xs[i], facet[i])
 			}
 		}
 

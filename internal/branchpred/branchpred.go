@@ -208,11 +208,11 @@ func (c *Collector) ConsumeBatch(evs []trace.Event) {
 
 // ConsumeCtlBatch implements trace.CtlBatchConsumer: predictors read only
 // the control facet, so the collector is control-only. Every conditional
-// branch is a control-transfer event, so the producer's ctl indices let
-// it skip straight-line runs without even the per-event kind test.
-func (c *Collector) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	for _, ci := range ctl {
-		if ev := &evs[ci]; ev.Instr.Kind == isa.KindBranch {
+// branch is a control transfer, so the batch's transfers are all it
+// walks; the straight-line work between them costs nothing.
+func (c *Collector) ConsumeCtlBatch(xs []trace.CtlEvent, _, _ uint64) {
+	for i := range xs {
+		if ev := &xs[i]; ev.Instr.Kind == isa.KindBranch {
 			c.score(ev.PC, ev.Instr.Target, ev.Taken)
 		}
 	}

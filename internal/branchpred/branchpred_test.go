@@ -119,8 +119,8 @@ func TestNonBranchesIgnored(t *testing.T) {
 }
 
 // TestConsumeCtlBatchMatchesBatch: the collector is control-only, and a
-// control-plane batch (walked via the producer's run-boundary indices)
-// must score exactly like the full-Event path over the same stream.
+// control-plane batch (the stream's transfers over its index range) must
+// score exactly like the full-Event path over the same stream.
 func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 	full := DefaultSuite()
 	ctl := DefaultSuite()
@@ -140,18 +140,16 @@ func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 			trace.Event{PC: 30, Instr: &jmp, Taken: true, Target: 3},
 		)
 	}
-	cevs := make([]trace.CtlEvent, len(evs))
-	var idx []int32
-	for i, ev := range evs {
-		cevs[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
-		switch ev.Instr.Kind {
-		case isa.KindBranch, isa.KindJump, isa.KindRet:
-			idx = append(idx, int32(i))
+	var xs []trace.CtlEvent
+	for i := range evs {
+		evs[i].Index = uint64(i)
+		if ev := evs[i]; ev.Instr.Kind.EndsRun() {
+			xs = append(xs, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
 		}
 	}
 	full.ConsumeBatch(evs)
-	ctl.ConsumeCtlBatch(cevs, idx)
+	ctl.ConsumeCtlBatch(xs, 0, uint64(len(evs)))
 	fr, cr := full.Results(), ctl.Results()
 	if len(fr) != len(cr) {
 		t.Fatalf("result counts differ: %d vs %d", len(fr), len(cr))

@@ -81,8 +81,9 @@ type CPU struct {
 	// allocated lazily on the first Run with a sink and reused afterwards.
 	// ctl is the control-transfer index side channel delivered with each
 	// batch to trace.SegmentedBatchConsumer sinks (same length as batch).
-	// ctlBatch is the compact control-plane buffer used instead of batch
-	// when every attached consumer is control-only (see Run).
+	// ctlBatch is the sparse control-plane buffer, holding transfers
+	// only, used instead of batch when every attached consumer is
+	// control-only (see Run).
 	batch     []trace.Event
 	ctlBatch  []trace.CtlEvent
 	ctl       []int32
@@ -136,7 +137,8 @@ func (c *CPU) Reference() bool { return c.reference }
 // (n <= 0 selects DefaultBatchSize). Batch size only affects delivery
 // granularity — consumers see the same events in the same order at any
 // setting — so results are identical; 1 degenerates to per-instruction
-// delivery.
+// delivery. On the control plane it bounds the transfers per batch (1
+// delivers one transfer per batch).
 func (c *CPU) SetBatchSize(n int) {
 	if n <= 0 {
 		n = DefaultBatchSize
@@ -169,9 +171,10 @@ func (c *CPU) BatchSize() int {
 // Run negotiates the event facets with the sink: when the sink accepts
 // control-plane batches (trace.CtlBatchConsumer) and declares it needs
 // only the control facet (trace.PlanesOf == trace.PlaneCtl), the
-// predecoded loop retires compact trace.CtlEvents and never materializes
-// the data facet at all. The reference path and the nil-sink path always
-// use full events.
+// predecoded loop stores a trace.CtlEvent only for each control transfer
+// and delivers sparse batches over contiguous index ranges; there
+// BatchSize bounds the transfers per batch, not the instructions. The
+// reference path and the nil-sink path always use full events.
 func (c *CPU) Run(budget uint64, sink trace.BatchConsumer) (uint64, error) {
 	if c.prog == nil {
 		return 0, ErrNoProgram
@@ -197,10 +200,7 @@ func (c *CPU) run(budget uint64, sink trace.BatchConsumer) (uint64, bool, error)
 			if c.ctlBatch == nil {
 				c.ctlBatch = make([]trace.CtlEvent, c.BatchSize())
 			}
-			if c.ctl == nil {
-				c.ctl = make([]int32, c.BatchSize())
-			}
-			n, err := c.runCtl(budget, cc, c.ctlBatch, c.ctl)
+			n, err := c.runCtl(budget, cc, c.ctlBatch)
 			return n, true, err
 		}
 	}

@@ -3,19 +3,16 @@ package interp
 // The control-plane execution loop. When every attached consumer is
 // control-only (trace.PlanesOf(sink) == trace.PlaneCtl), Run dispatches
 // here instead of runPre: the same predecoded micro-op semantics, but
-// retiring compact trace.CtlEvents — Index, PC, Instr, Taken, Target —
-// instead of full Events. That drops the per-instruction store count
-// from ~9 to ~4 and halves the batch footprint, which is most of the
-// "store floor" the full-plane loop sits on. The control-transfer index
-// side channel is always delivered (ConsumeCtlBatch takes it directly),
-// so control-only consumers like the loop detector skip straight-line
-// runs without a rescan.
+// the only retirement record stored is a trace.CtlEvent per control
+// transfer (branch, jump, ret). Every other instruction only advances
+// the retired count, so the loop pays per transfer, not per instruction,
+// for what it delivers; consumers see straight-line work as the index
+// gaps of the sparse batch (see trace.CtlBatchConsumer).
 //
 // Machine state transitions (registers, memory, call stack, sequence
 // reads, PC, retired count, halts, machine errors) are byte-identical
-// to runPre; only the event representation narrows. Differential tests
-// pin that the control facet of the emitted stream matches the full
-// path exactly.
+// to runPre. Differential tests pin that the delivered transfers are
+// exactly the transfers of the full stream.
 
 import (
 	"fmt"
@@ -24,20 +21,21 @@ import (
 	"dynloop/internal/trace"
 )
 
-// deliverCtl flushes a control-plane batch; like deliver it is a plain
-// function so the hot loop's locals stay register-allocated.
-func deliverCtl(sink trace.CtlBatchConsumer, evs []trace.CtlEvent, ctl []int32) {
-	if len(evs) > 0 {
-		sink.ConsumeCtlBatch(evs, ctl)
+// deliverCtl flushes the pending control-plane batch covering
+// [first, end); like deliver it is a plain function so the hot loop's
+// locals stay register-allocated.
+func deliverCtl(sink trace.CtlBatchConsumer, xs []trace.CtlEvent, first, end uint64) {
+	if end > first {
+		sink.ConsumeCtlBatch(xs, first, end)
 	}
 }
 
-// stepFusedFirstCtl executes only the first constituent of fused
-// micro-op u, filling ev with its control-plane retirement event; the
-// control-plane twin of stepFusedFirst, taken when fewer than two
-// instructions of budget or two batch slots remain.
-func (c *CPU) stepFusedFirstCtl(u *uop, ev *trace.CtlEvent, retired uint64, pc uint64) {
-	*ev = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+// execFusedFirst executes only the first constituent of fused micro-op
+// u: the control-plane twin of stepFusedFirst, taken when fewer than two
+// instructions of budget remain. A first constituent is never a
+// transfer, so there is nothing to record: runCtl breaks out of its
+// dispatch and retires it like any straight-line instruction.
+func (c *CPU) execFusedFirst(u *uop) {
 	regs := &c.regs
 	switch u.op {
 	case opFuseAddIBr, opFuseAddIAdd, opFuseAddIAddI:
@@ -53,13 +51,13 @@ func (c *CPU) stepFusedFirstCtl(u *uop, ev *trace.CtlEvent, retired uint64, pc u
 	}
 }
 
-// runCtl is the control-plane execution loop: runPre with the data-facet
-// stores elided. The batch flushes at exactly len(buf) events with its
-// control-transfer indices, mid-pair budget/batch cuts single-step fused
-// micro-ops identically, and error paths flush buffered events before
-// returning — the delivery boundaries match the full-plane loop slot for
-// slot.
-func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent, ctl []int32) (uint64, error) {
+// runCtl is the control-plane execution loop: runPre storing only the
+// control transfers. A batch flushes once it holds len(buf) transfers,
+// covering the indices from the previous flush through the last of them;
+// a budget that ends inside a fused pair single-steps its first
+// constituent, and error paths flush the pending range before
+// returning, so the batches always tile the retired stream.
+func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.CtlEvent) (uint64, error) {
 	ops := c.ops
 	pc := uint64(c.pc)
 	retired := c.retired
@@ -69,15 +67,15 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 	if budget == 0 || limit < retired {
 		limit = ^uint64(0)
 	}
+	// first is the first index of the pending batch; k counts its
+	// transfers in buf.
+	first := retired
 	kmax := len(buf)
 	k := 0
-	// cn counts control-transfer indices recorded in ctl; cn <= k always,
-	// so ctl (len >= kmax) never overflows.
-	cn := 0
 	halted := c.halted
 	for !halted && retired < limit {
 		if pc >= uint64(len(ops)) {
-			deliverCtl(sink, buf[:k], ctl[:cn])
+			deliverCtl(sink, buf[:k], first, retired)
 			c.pc, c.retired = isa.Addr(pc), retired
 			return retired - start, fmt.Errorf("%w: pc=%d len=%d", ErrPC, isa.Addr(pc), len(ops))
 		}
@@ -85,325 +83,252 @@ func (c *CPU) runCtl(budget uint64, sink trace.CtlBatchConsumer, buf []trace.Ctl
 		next := pc + 1
 		switch u.op {
 		case opFuseAddIAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + u.imm2
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseAddIAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + regs[u.aux3]
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseAddAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = regs[u.rs1] + regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + u.imm2
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseAddAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = regs[u.rs1] + regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + regs[u.aux3]
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseAddIBr:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			if condHolds(u.aux, regs[u.rs2]) {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
 					Taken: true, Target: isa.Addr(u.target)}
 				pc = uint64(u.target)
 			} else {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 				pc += 2
 			}
-			ctl[cn] = int32(k + 1)
-			cn++
-			goto tail2
+			retired += 2
+			goto transfer
 		case opFuseStBr:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			if condHolds(u.aux, regs[u.aux2]) {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2,
 					Taken: true, Target: isa.Addr(u.target)}
 				pc = uint64(u.target)
 			} else {
-				buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
+				buf[k] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 				pc += 2
 			}
-			ctl[cn] = int32(k + 1)
-			cn++
-			goto tail2
+			retired += 2
+			goto transfer
 		case opFuseLoadAddI:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + u.imm2
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseLoadAdd:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			regs[u.aux] = regs[u.aux2] + regs[u.rs2]
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseMovISt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			c.mem.Store(uint64(regs[u.rs1]+u.imm2), regs[u.rs2])
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseLoadSt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			c.mem.Store(uint64(regs[u.aux2]+u.imm2), regs[u.aux3])
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opFuseStSt:
-			if limit-retired < 2 || kmax-k < 2 {
-				c.stepFusedFirstCtl(u, &buf[k], retired, pc)
-				goto tail1
+			if limit-retired < 2 {
+				c.execFusedFirst(u)
+				break
 			}
 			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 			c.mem.Store(uint64(regs[u.aux2]+u.imm2), regs[u.aux3])
-			buf[k+1] = trace.CtlEvent{Index: retired + 1, PC: isa.Addr(pc + 1), Instr: u.in2}
 			pc += 2
 			goto tail2
 		case opAddI:
 			regs[u.rd] = regs[u.rs1] + u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opAdd:
 			regs[u.rd] = regs[u.rs1] + regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opBrEQZ:
 			if regs[u.rs1] == 0 {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-					Taken: true, Target: isa.Addr(u.target)}
 				next = uint64(u.target)
-			} else {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+				goto taken
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto notTaken
 		case opBrNEZ:
 			if regs[u.rs1] != 0 {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-					Taken: true, Target: isa.Addr(u.target)}
 				next = uint64(u.target)
-			} else {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+				goto taken
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto notTaken
 		case opBrLTZ:
 			if regs[u.rs1] < 0 {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-					Taken: true, Target: isa.Addr(u.target)}
 				next = uint64(u.target)
-			} else {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+				goto taken
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto notTaken
 		case opBrGEZ:
 			if regs[u.rs1] >= 0 {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-					Taken: true, Target: isa.Addr(u.target)}
 				next = uint64(u.target)
-			} else {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+				goto taken
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto notTaken
 		case opBrGTZ:
 			if regs[u.rs1] > 0 {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-					Taken: true, Target: isa.Addr(u.target)}
 				next = uint64(u.target)
-			} else {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+				goto taken
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto notTaken
 		case opBrLEZ:
 			if regs[u.rs1] <= 0 {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-					Taken: true, Target: isa.Addr(u.target)}
 				next = uint64(u.target)
-			} else {
-				buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+				goto taken
 			}
-			ctl[cn] = int32(k)
-			cn++
+			goto notTaken
 		case opLoad:
 			regs[u.rd] = c.mem.Load(uint64(regs[u.rs1] + u.imm))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opStore:
 			c.mem.Store(uint64(regs[u.rs1]+u.imm), regs[u.rs2])
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMovI:
 			regs[u.rd] = u.imm
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMov:
 			regs[u.rd] = regs[u.rs1]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opSub:
 			regs[u.rd] = regs[u.rs1] - regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMul:
 			regs[u.rd] = regs[u.rs1] * regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opAnd:
 			regs[u.rd] = regs[u.rs1] & regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opOr:
 			regs[u.rd] = regs[u.rs1] | regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opXor:
 			regs[u.rd] = regs[u.rs1] ^ regs[u.rs2]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opShl:
 			regs[u.rd] = regs[u.rs1] << uint64(u.imm)
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opShr:
 			regs[u.rd] = regs[u.rs1] >> uint64(u.imm)
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opSlt:
 			var v int64
 			if regs[u.rs1] < regs[u.rs2] {
 				v = 1
 			}
 			regs[u.rd] = v
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opMod:
 			var v int64
 			if b := regs[u.rs2]; b != 0 {
 				v = regs[u.rs1] % b
 			}
 			regs[u.rd] = v
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opSeq:
 			var v int64
 			if s, ok := c.seqs[u.imm]; ok {
 				v = s.Next()
 			}
 			regs[u.rd] = v
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		case opJump:
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-				Taken: true, Target: isa.Addr(u.target)}
 			next = uint64(u.target)
-			ctl[cn] = int32(k)
-			cn++
+			goto taken
 		case opCall:
 			if len(c.stack) >= MaxCallDepth {
-				deliverCtl(sink, buf[:k], ctl[:cn])
+				deliverCtl(sink, buf[:k], first, retired)
 				c.pc, c.retired = isa.Addr(pc), retired
 				return retired - start, fmt.Errorf("%w at pc=%d", ErrCallDepth, isa.Addr(pc))
 			}
 			c.stack = append(c.stack, isa.Addr(pc+1))
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-				Taken: true, Target: isa.Addr(u.target)}
 			next = uint64(u.target)
 		case opRet:
 			if len(c.stack) == 0 {
-				deliverCtl(sink, buf[:k], ctl[:cn])
+				deliverCtl(sink, buf[:k], first, retired)
 				c.pc, c.retired = isa.Addr(pc), retired
 				return retired - start, fmt.Errorf("%w at pc=%d", ErrRetEmpty, isa.Addr(pc))
 			}
-			ra := c.stack[len(c.stack)-1]
+			next = uint64(c.stack[len(c.stack)-1])
 			c.stack = c.stack[:len(c.stack)-1]
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
-				Taken: true, Target: ra}
-			next = uint64(ra)
-			ctl[cn] = int32(k)
-			cn++
+			goto taken
 		case opBrNever:
-			// Unknown-condition branch: never taken, still a run boundary.
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
-			ctl[cn] = int32(k)
-			cn++
+			// Unknown-condition branch: never taken, still a transfer.
+			goto notTaken
 		case opHalt:
 			halted = true
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		default: // opNop
-			buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
 		}
 		retired++
 		pc = next
-		if k++; k == kmax {
-			sink.ConsumeCtlBatch(buf, ctl[:cn])
-			k, cn = 0, 0
-		}
 		continue
 
-	tail1: // fused op stepped as its first constituent only
+	taken: // a taken transfer from pc to next
+		buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in,
+			Taken: true, Target: isa.Addr(next)}
+		goto transfer1
+
+	notTaken: // a branch falling through
+		buf[k] = trace.CtlEvent{Index: retired, PC: isa.Addr(pc), Instr: u.in}
+
+	transfer1: // the single instruction at pc was the transfer in buf[k]
 		retired++
-		pc++
+		pc = next
+
+	transfer: // buf[k] holds the transfer that retired last
 		if k++; k == kmax {
-			sink.ConsumeCtlBatch(buf, ctl[:cn])
-			k, cn = 0, 0
+			sink.ConsumeCtlBatch(buf, first, retired)
+			first, k = retired, 0
 		}
 		continue
 
-	tail2: // fused op retired whole: two events, two instructions
+	tail2: // fused op retired whole: two instructions, no transfer
 		retired += 2
-		if k += 2; k == kmax {
-			sink.ConsumeCtlBatch(buf, ctl[:cn])
-			k, cn = 0, 0
-		}
 	}
-	deliverCtl(sink, buf[:k], ctl[:cn])
+	deliverCtl(sink, buf[:k], first, retired)
 	c.pc, c.retired, c.halted = isa.Addr(pc), retired, halted
 	return retired - start, nil
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -75,33 +76,79 @@ func TestMemPairReferenceEquivalence(t *testing.T) {
 }
 
 // ctlRecorder accepts only control-plane delivery: ConsumeBatch panics,
-// proving Run dispatched to the control-plane loop, and ctl indices are
-// resolved to absolute stream positions like segRecorder's.
+// proving Run dispatched to the control-plane loop. It checks the
+// sparse-delivery contract as batches arrive — each first equals the
+// previous end, and every transfer is a run-ending kind inside its
+// batch's range, in stream order — and keeps the first violation.
 type ctlRecorder struct {
-	events []trace.CtlEvent
-	ctl    []int
+	xs []trace.CtlEvent
+	// end is the last batch's end: with contiguous batches from a fresh
+	// CPU it equals Σ(end−first), the instructions the batches cover.
+	end     uint64
+	batches int
+	// empty counts batches that carried no transfer.
+	empty int
+	bad   string
 }
 
 func (r *ctlRecorder) ConsumeBatch([]trace.Event) {
 	panic("full-plane delivery to a control-only sink")
 }
 
-func (r *ctlRecorder) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	base := len(r.events)
-	r.events = append(r.events, evs...)
-	for _, i := range ctl {
-		r.ctl = append(r.ctl, base+int(i))
+func (r *ctlRecorder) ConsumeCtlBatch(xs []trace.CtlEvent, first, end uint64) {
+	r.batches++
+	if len(xs) == 0 {
+		r.empty++
 	}
+	if r.bad == "" && (first != r.end || end <= first) {
+		r.bad = fmt.Sprintf("batch %d covers [%d, %d) after a batch ending at %d", r.batches, first, end, r.end)
+	}
+	for _, x := range xs {
+		out := x.Index < first || x.Index >= end || !x.Instr.Kind.EndsRun()
+		if n := len(r.xs); n > 0 && x.Index <= r.xs[n-1].Index {
+			out = true
+		}
+		if r.bad == "" && out {
+			r.bad = fmt.Sprintf("batch %d [%d, %d) carries %+v", r.batches, first, end, x)
+		}
+		r.xs = append(r.xs, x)
+	}
+	r.end = end
 }
 
-// ctlFacet projects a full event stream onto the control plane.
-func ctlFacet(evs []trace.Event) []trace.CtlEvent {
-	out := make([]trace.CtlEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
+// transfers projects a full event stream onto the control plane: its
+// branch, jump and ret events.
+func transfers(evs []trace.Event) []trace.CtlEvent {
+	var out []trace.CtlEvent
+	for _, ev := range evs {
+		if ev.Instr.Kind.EndsRun() {
+			out = append(out, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
+		}
 	}
 	return out
+}
+
+// checkCtl asserts that rec saw well-formed sparse batches covering
+// exactly the retired instructions, carrying exactly the transfers of
+// the reference stream ref.
+func checkCtl(t *testing.T, what string, rec *ctlRecorder, retired uint64, ref []trace.Event) {
+	t.Helper()
+	if rec.bad != "" {
+		t.Fatalf("%s: %s", what, rec.bad)
+	}
+	if rec.end != retired {
+		t.Fatalf("%s: batches cover %d instructions, %d retired", what, rec.end, retired)
+	}
+	want := transfers(ref)
+	if len(rec.xs) != len(want) {
+		t.Fatalf("%s: %d transfers, reference has %d", what, len(rec.xs), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(rec.xs[i], want[i]) { // the CPUs may hold separate program copies
+			t.Fatalf("%s: transfer %d differs:\nctl %+v\nref %+v", what, i, rec.xs[i], want[i])
+		}
+	}
 }
 
 // runCtlStream executes a fresh CPU against a control-only sink.
@@ -114,10 +161,10 @@ func runCtlStream(t *testing.T, c *CPU, budget uint64, batch int) (*ctlRecorder,
 }
 
 // TestRunCtlReferenceEquivalence is the control-plane differential: the
-// ctl loop must emit exactly the control facet of the reference stream —
-// same events, same ctl boundaries, same machine state — at batch sizes
-// that cut fused pairs and budgets that stop mid-pair, over both the
-// ALU-heavy fusion program and the memory-pair one.
+// ctl loop must deliver exactly the transfers of the reference stream,
+// over batches that tile the retired count, with the same machine state
+// — at batch sizes down to one transfer and budgets that stop mid-pair,
+// over both the ALU-heavy fusion program and the memory-pair one.
 func TestRunCtlReferenceEquivalence(t *testing.T) {
 	mk := map[string]func(reference bool) *CPU{
 		"fusion": newFusionCPU,
@@ -137,26 +184,7 @@ func TestRunCtlReferenceEquivalence(t *testing.T) {
 				if (cerr == nil) != (rerr == nil) || cn != rn {
 					t.Fatalf("%s batch=%d budget=%d: n %d/%d err %v/%v", name, batch, budget, cn, rn, cerr, rerr)
 				}
-				if want := ctlFacet(re); !reflect.DeepEqual(crec.events, want) {
-					for i := range crec.events {
-						if i < len(want) && !reflect.DeepEqual(crec.events[i], want[i]) {
-							t.Fatalf("%s batch=%d budget=%d: event %d differs:\nctl %+v\nref %+v",
-								name, batch, budget, i, crec.events[i], want[i])
-						}
-					}
-					t.Fatalf("%s batch=%d budget=%d: stream lengths %d vs %d",
-						name, batch, budget, len(crec.events), len(want))
-				}
-				var wantCtl []int
-				for i := range re {
-					switch re[i].Instr.Kind {
-					case isa.KindBranch, isa.KindJump, isa.KindRet:
-						wantCtl = append(wantCtl, i)
-					}
-				}
-				if !reflect.DeepEqual(crec.ctl, wantCtl) {
-					t.Fatalf("%s batch=%d budget=%d: ctl = %v, want %v", name, batch, budget, crec.ctl, wantCtl)
-				}
+				checkCtl(t, fmt.Sprintf("%s batch=%d budget=%d", name, batch, budget), crec, cn, re)
 				if cc.regs != ref.regs || cc.PC() != ref.PC() || cc.Halted() != ref.Halted() {
 					t.Fatalf("%s batch=%d budget=%d: machine state diverged", name, batch, budget)
 				}
@@ -186,13 +214,11 @@ func TestRunCtlResumeMidPair(t *testing.T) {
 	if _, err := ref.Run(0, rrec); err != nil {
 		t.Fatal(err)
 	}
-	if want := ctlFacet(rrec.Events); !reflect.DeepEqual(rec.events, want) {
-		t.Fatalf("resumed ctl stream differs from reference (%d vs %d events)", len(rec.events), len(want))
-	}
+	checkCtl(t, "resumed", rec, cc.Retired(), rrec.Events)
 }
 
 // TestRunCtlErrorPaths: machine errors on the control plane flush the
-// buffered events before returning, exactly like the full path.
+// pending batch before returning, exactly like the full path.
 func TestRunCtlErrorPaths(t *testing.T) {
 	run := func(p *program.Program) (*ctlRecorder, error) {
 		c := New(p)
@@ -200,8 +226,8 @@ func TestRunCtlErrorPaths(t *testing.T) {
 		_, err := c.Run(0, rec)
 		return rec, err
 	}
-	if rec, err := run(prog(isa.Nop())); !errors.Is(err, ErrPC) || len(rec.events) != 1 {
-		t.Fatalf("ErrPC: got %v, %d events", err, len(rec.events))
+	if rec, err := run(prog(isa.Nop())); !errors.Is(err, ErrPC) || rec.end != 1 || len(rec.xs) != 0 {
+		t.Fatalf("ErrPC: got %v, %d instructions, %d transfers", err, rec.end, len(rec.xs))
 	}
 	if _, err := run(prog(isa.Ret())); !errors.Is(err, ErrRetEmpty) {
 		t.Fatalf("ErrRetEmpty: got %v", err)
@@ -233,11 +259,12 @@ func TestRunCtlForcedFull(t *testing.T) {
 }
 
 // TestSegmentBoundaryPairBeforeTransfer pins satellite boundaries of the
-// segment side channel on BOTH planes: a fused pair whose second
-// constituent is the last event before a control transfer, with batch
-// sizes that flush between the pair and the transfer and budgets that
-// cut inside the pair. The ctl indices must always be exactly the
-// branch/jump/ret positions of the equivalent reference stream.
+// segment side channel and of the sparse control plane: a fused pair
+// whose second constituent is the last event before a control transfer,
+// with batch sizes that flush between the pair and the transfer and
+// budgets that cut inside the pair. The full plane's ctl indices must
+// be exactly the branch/jump/ret positions of the equivalent reference
+// stream, and the control plane must carry exactly those transfers.
 func TestSegmentBoundaryPairBeforeTransfer(t *testing.T) {
 	for _, batch := range []int{1, 2, 3, 5, 8, 9, 1024} {
 		for _, budget := range []uint64{0, 5, 8, 9, 10, 11, 17} {
@@ -249,8 +276,7 @@ func TestSegmentBoundaryPairBeforeTransfer(t *testing.T) {
 			}
 			var want []int
 			for i := range re {
-				switch re[i].Instr.Kind {
-				case isa.KindBranch, isa.KindJump, isa.KindRet:
+				if re[i].Instr.Kind.EndsRun() {
 					want = append(want, i)
 				}
 			}
@@ -268,13 +294,74 @@ func TestSegmentBoundaryPairBeforeTransfer(t *testing.T) {
 				t.Fatalf("batch=%d budget=%d: full-plane ctl = %v, want %v", batch, budget, seg.ctl, want)
 			}
 
-			crec, _, err := runCtlStream(t, New(memFusionProg()), budget, batch)
+			crec, cn, err := runCtlStream(t, New(memFusionProg()), budget, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(crec.ctl, want) {
-				t.Fatalf("batch=%d budget=%d: ctl-plane ctl = %v, want %v", batch, budget, crec.ctl, want)
-			}
+			checkCtl(t, fmt.Sprintf("batch=%d budget=%d", batch, budget), crec, cn, re)
 		}
+	}
+}
+
+// TestRunCtlSparseEdges pins the edges of sparse delivery: a program
+// with no transfer at all is one batch with none, a budget that ends
+// inside a straight-line run closes a batch with none, and resuming
+// continues the index range; a straight-line run longer than a uint16
+// is delivered like any other gap.
+func TestRunCtlSparseEdges(t *testing.T) {
+	ref := func(p *program.Program, budget uint64) []trace.Event {
+		c := New(p)
+		c.SetReference(true)
+		rec := &trace.Recorder{}
+		if _, err := c.Run(budget, rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Events
+	}
+
+	// No transfer at all: one batch covering the whole run, carrying none.
+	flat := prog(isa.MovI(1, 3), isa.AddI(1, 1, 1), isa.Nop(), isa.Halt())
+	rec, n, err := runCtlStream(t, New(flat), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCtl(t, "flat", rec, n, ref(flat, 0))
+	if rec.batches != 1 || rec.empty != 1 || n != 4 {
+		t.Fatalf("flat: %d batches (%d empty) over %d instructions, want 1 (1) over 4", rec.batches, rec.empty, n)
+	}
+
+	// A budget cut inside the straight-line run after a transfer: with
+	// one transfer per batch, the tail is a batch of its own with none,
+	// and the resumed run's batches start where it ended.
+	mem := memFusionProg()
+	for _, budget := range []uint64{13, 15, 16} { // inside the second iteration's body
+		c := New(mem)
+		rec, n, err := runCtlStream(t, c, budget, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCtl(t, fmt.Sprintf("cut at %d", budget), rec, n, ref(mem, budget))
+		if rec.empty != 1 {
+			t.Fatalf("cut at %d: %d batches without a transfer, want 1", budget, rec.empty)
+		}
+		if _, err := c.Run(0, rec); err != nil {
+			t.Fatal(err)
+		}
+		checkCtl(t, fmt.Sprintf("resumed after %d", budget), rec, c.Retired(), ref(mem, 0))
+	}
+
+	// A straight-line run past the uint16 range, inside a two-trip loop.
+	code := []isa.Instr{isa.MovI(1, 2)}
+	for len(code) < 70_001 {
+		code = append(code, isa.Nop())
+	}
+	code = append(code, isa.AddI(1, 1, -1), isa.Branch(isa.CondNEZ, 1, 1), isa.Halt())
+	long := prog(code...)
+	for _, budget := range []uint64{0, 70_000, 100_000} {
+		rec, n, err := runCtlStream(t, New(long), budget, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCtl(t, fmt.Sprintf("long run budget=%d", budget), rec, n, ref(long, budget))
 	}
 }

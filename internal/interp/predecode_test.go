@@ -255,8 +255,7 @@ func TestPredecodeCtlChannel(t *testing.T) {
 		}
 		var want []int
 		for i := range seg.events {
-			switch seg.events[i].Instr.Kind {
-			case isa.KindBranch, isa.KindJump, isa.KindRet:
+			if seg.events[i].Instr.Kind.EndsRun() {
 				want = append(want, i)
 			}
 		}

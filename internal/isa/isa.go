@@ -95,6 +95,15 @@ func (k Kind) IsControl() bool {
 	return false
 }
 
+// EndsRun reports whether instructions of this kind end a straight-line
+// run for the loop detector: the control transfers that can produce loop
+// events (branch, jump, ret). Calls do not end runs; subroutine bodies
+// belong to the iteration that calls them (§2.1 of the paper). These
+// are the transfers a control-plane batch carries.
+func (k Kind) EndsRun() bool {
+	return k == KindBranch || k == KindJump || k == KindRet
+}
+
 // TouchesMem reports whether instructions of this kind access data
 // memory (and therefore carry the MemAddr/MemVal event facet). The
 // trace codecs and the interpreter's predecoder share this single

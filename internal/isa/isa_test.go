@@ -106,7 +106,7 @@ func TestDisassembly(t *testing.T) {
 	}
 }
 
-// TestKindProperties covers IsControl and the kind names.
+// TestKindProperties covers IsControl, EndsRun and the kind names.
 func TestKindProperties(t *testing.T) {
 	control := map[Kind]bool{
 		KindBranch: true, KindJump: true, KindCall: true, KindRet: true,
@@ -119,6 +119,16 @@ func TestKindProperties(t *testing.T) {
 		}
 		if strings.Contains(k.String(), "kind(") {
 			t.Errorf("kind %d has no name", k)
+		}
+	}
+	// EndsRun is the control-plane transfer set: calls are not in it.
+	for k, want := range map[Kind]bool{
+		KindBranch: true, KindJump: true, KindRet: true,
+		KindCall: false, KindALU: false, KindLoad: false, KindStore: false,
+		KindSeq: false, KindHalt: false, KindNop: false,
+	} {
+		if k.EndsRun() != want {
+			t.Errorf("%s.EndsRun() = %v, want %v", k, !want, want)
 		}
 	}
 	// TouchesMem gates the MemAddr/MemVal event facet; the trace codecs

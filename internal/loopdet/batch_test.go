@@ -141,27 +141,30 @@ func TestConsumeBatchMatchesConsume(t *testing.T) {
 func segmentIndices(evs []trace.Event) []int32 {
 	var ctl []int32
 	for i := range evs {
-		switch evs[i].Instr.Kind {
-		case isa.KindBranch, isa.KindJump, isa.KindRet:
+		if evs[i].Instr.Kind.EndsRun() {
 			ctl = append(ctl, int32(i))
 		}
 	}
 	return ctl
 }
 
-// ctlFacet projects a full stream onto the control plane.
-func ctlFacet(evs []trace.Event) []trace.CtlEvent {
-	out := make([]trace.CtlEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
+// consumeCtl feeds a non-empty slice of a full stream to d the way a
+// control-plane producer would: the transfers only, over the slice's
+// dynamic index range.
+func consumeCtl(d *Detector, evs []trace.Event) {
+	var xs []trace.CtlEvent
+	for _, ev := range evs {
+		if ev.Instr.Kind.EndsRun() {
+			xs = append(xs, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
+		}
 	}
-	return out
+	d.ConsumeCtlBatch(xs, evs[0].Index, evs[len(evs)-1].Index+1)
 }
 
 // TestConsumeCtlBatchMatchesBatch pins the control-plane contract on the
 // detector: an observer-free detector declares itself control-only, and
-// fed compact CtlEvents with the producer's run-boundary indices it must
+// fed sparse control-plane batches (transfers over an index range) it must
 // end with exactly the stats of the full-Event batch path, for arbitrary
 // streams and chunkings. A detector with a stream observer (or periodic
 // flush armed) must demand the data plane instead.
@@ -182,7 +185,7 @@ func TestConsumeCtlBatchMatchesBatch(t *testing.T) {
 					end = len(evs)
 				}
 				ref.ConsumeBatch(evs[i:end])
-				ctl.ConsumeCtlBatch(ctlFacet(evs[i:end]), segmentIndices(evs[i:end]))
+				consumeCtl(ctl, evs[i:end])
 			}
 			ref.Flush()
 			ctl.Flush()

@@ -324,15 +324,13 @@ func (d *Detector) ConsumeBatch(evs []trace.Event) {
 	start := 0
 	for i := range evs {
 		ev := &evs[i]
-		in := ev.Instr
-		k := in.Kind
-		if k != isa.KindBranch && k != isa.KindJump && k != isa.KindRet {
+		if !ev.Instr.Kind.EndsRun() {
 			continue
 		}
 		d.emitStream(evs[start : i+1])
 		start = i + 1
 		d.last = ev.Index
-		d.transfer(ev)
+		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
 	d.emitStream(evs[start:])
 	d.last = evs[len(evs)-1].Index
@@ -359,7 +357,7 @@ func (d *Detector) ConsumeBatchSegmented(evs []trace.Event, ctl []int32) {
 		d.emitStream(evs[start : i+1])
 		start = i + 1
 		d.last = ev.Index
-		d.transfer(ev)
+		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
 	d.emitStream(evs[start:])
 	d.last = evs[len(evs)-1].Index
@@ -380,74 +378,50 @@ func (d *Detector) NeedPlanes() trace.Planes {
 }
 
 // ConsumeCtlBatch processes a control-plane batch
-// (trace.CtlBatchConsumer). The producer always supplies the
-// control-transfer indices, so the detector skips straight-line runs
-// entirely: the loop below touches only the boundary events, and a run
-// between boundaries costs one count per RunObserver (there are no
-// stream observers on this path — see NeedPlanes).
-func (d *Detector) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	if len(evs) == 0 {
+// (trace.CtlBatchConsumer): xs holds the transfers retired in the
+// dynamic index range [first, end), so each straight-line run is the
+// gap between two transfers' indices and costs one count per
+// RunObserver (there are no stream observers on this path — see
+// NeedPlanes). The loop below touches only the transfers.
+func (d *Detector) ConsumeCtlBatch(xs []trace.CtlEvent, first, end uint64) {
+	if end == first {
 		return
 	}
 	if len(d.stream) != 0 || d.flushMask != 0 {
 		panic("loopdet: control-plane delivery to a full-facet detector")
 	}
-	d.stats.Instrs += uint64(len(evs))
-	start := 0
-	for _, ci := range ctl {
-		i := int(ci)
-		ev := &evs[i]
-		d.emitRun(uint64(i+1-start), ev.Index)
-		start = i + 1
+	d.stats.Instrs += end - first
+	next := first
+	for i := range xs {
+		ev := &xs[i]
+		d.emitRun(ev.Index+1-next, ev.Index)
+		next = ev.Index + 1
 		d.last = ev.Index
-		d.transferCtl(ev)
+		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
-	d.last = evs[len(evs)-1].Index
-	d.emitRun(uint64(len(evs)-start), d.last)
-}
-
-// transferCtl is transfer over the control-plane event representation;
-// the two must stay rule-for-rule identical.
-func (d *Detector) transferCtl(ev *trace.CtlEvent) {
-	in := ev.Instr
-	switch in.Kind {
-	case isa.KindBranch:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, ev.Taken, ev.Index)
-		} else if ev.Taken {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
-		}
-	case isa.KindJump:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, true, ev.Index)
-		} else {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
-		}
-	case isa.KindRet:
-		d.ret(ev.PC, ev.Index)
-	}
+	d.last = end - 1
+	d.emitRun(end-next, d.last)
 }
 
 // transfer applies the loop rules for one control-transfer instruction
-// (a no-op for any other kind). Every consume path funnels through it so
-// the scalar and batch paths cannot drift apart.
-func (d *Detector) transfer(ev *trace.Event) {
-	in := ev.Instr
+// in at pc (a no-op for any other kind). Every consume path, on either
+// plane, funnels through it so they cannot drift apart.
+func (d *Detector) transfer(in *isa.Instr, pc isa.Addr, taken bool, idx uint64) {
 	switch in.Kind {
 	case isa.KindBranch:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, ev.Taken, ev.Index)
-		} else if ev.Taken {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
+		if in.Target <= pc {
+			d.backward(pc, in.Target, taken, idx)
+		} else if taken {
+			d.exitTransfer(pc, in.Target, idx)
 		}
 	case isa.KindJump:
-		if in.Target <= ev.PC {
-			d.backward(ev.PC, in.Target, true, ev.Index)
+		if in.Target <= pc {
+			d.backward(pc, in.Target, true, idx)
 		} else {
-			d.exitTransfer(ev.PC, in.Target, ev.Index)
+			d.exitTransfer(pc, in.Target, idx)
 		}
 	case isa.KindRet:
-		d.ret(ev.PC, ev.Index)
+		d.ret(pc, idx)
 	}
 }
 
@@ -460,8 +434,7 @@ func (d *Detector) consumeBatchSlow(evs []trace.Event) {
 		d.stats.Instrs++
 		d.last = ev.Index
 		flushDue := d.stats.Instrs >= d.flushAt
-		k := ev.Instr.Kind
-		if !flushDue && k != isa.KindBranch && k != isa.KindJump && k != isa.KindRet {
+		if !flushDue && !ev.Instr.Kind.EndsRun() {
 			continue
 		}
 		d.emitStream(evs[start : i+1])
@@ -470,7 +443,7 @@ func (d *Detector) consumeBatchSlow(evs []trace.Event) {
 			d.flushAt += d.flushMask
 			d.Flush()
 		}
-		d.transfer(ev)
+		d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 	}
 	d.emitStream(evs[start:])
 }
@@ -507,7 +480,7 @@ func (d *Detector) step(ev *trace.Event) {
 		d.flushAt += d.flushMask
 		d.Flush()
 	}
-	d.transfer(ev)
+	d.transfer(ev.Instr, ev.PC, ev.Taken, ev.Index)
 }
 
 // find returns the stack index of the entry with target t, or -1.

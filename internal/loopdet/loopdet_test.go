@@ -501,9 +501,7 @@ func TestStreamObserverOrder(t *testing.T) {
 					"segmented": func(d *Detector, evs []trace.Event) { d.ConsumeBatchSegmented(evs, segmentIndices(evs)) },
 				}
 				if flush == 0 {
-					paths["ctl"] = func(d *Detector, evs []trace.Event) {
-						d.ConsumeCtlBatch(ctlFacet(evs), segmentIndices(evs))
-					}
+					paths["ctl"] = consumeCtl
 				}
 				for name, consume := range paths {
 					d := newRunDetector(t, flush)

@@ -51,8 +51,8 @@ type ctlPassAdapter struct {
 
 func (ctlPassAdapter) Init()     {}
 func (ctlPassAdapter) Finalize() {}
-func (a ctlPassAdapter) ConsumeCtlBatch(evs []CtlEvent, ctl []int32) {
-	a.ctl.ConsumeCtlBatch(evs, ctl)
+func (a ctlPassAdapter) ConsumeCtlBatch(xs []CtlEvent, first, end uint64) {
+	a.ctl.ConsumeCtlBatch(xs, first, end)
 }
 func (a ctlPassAdapter) NeedPlanes() Planes { return PlanesOf(a.BatchConsumer) }
 
@@ -63,8 +63,8 @@ type ctlSegPassAdapter struct {
 
 func (ctlSegPassAdapter) Init()     {}
 func (ctlSegPassAdapter) Finalize() {}
-func (a ctlSegPassAdapter) ConsumeCtlBatch(evs []CtlEvent, ctl []int32) {
-	a.ctl.ConsumeCtlBatch(evs, ctl)
+func (a ctlSegPassAdapter) ConsumeCtlBatch(xs []CtlEvent, first, end uint64) {
+	a.ctl.ConsumeCtlBatch(xs, first, end)
 }
 func (a ctlSegPassAdapter) NeedPlanes() Planes { return PlanesOf(a.SegmentedBatchConsumer) }
 
@@ -111,7 +111,8 @@ func AsPass(c BatchConsumer) Pass {
 //
 // Broadcast negotiates event facets for the whole fan-out: NeedPlanes
 // reports the union of the passes' needs, and when every pass is
-// control-only a producer may deliver compact CtlEvent batches through
+// control-only a producer may deliver sparse control-plane batches (the
+// transfers of an index range, see CtlBatchConsumer) through
 // ConsumeCtlBatch instead of full Events.
 type Broadcast struct {
 	passes []Pass
@@ -122,13 +123,15 @@ type Broadcast struct {
 }
 
 // shardEpoch is one delivery to a shard worker: a full-plane batch
-// (optionally with its segmentation indices) or a control-plane batch.
-// Exactly one of evs/ctlEvs is non-nil.
+// (optionally with its segmentation indices) or a control-plane batch
+// (xs over [first, end)).
 type shardEpoch struct {
-	evs    []Event
-	ctlEvs []CtlEvent
-	ctl    []int32
-	seg    bool // ctl holds segmentation indices for evs
+	evs        []Event
+	ctl        []int32
+	seg        bool // ctl holds segmentation indices for evs
+	ctlPlane   bool // the epoch is xs over [first, end)
+	xs         []CtlEvent
+	first, end uint64
 }
 
 // NewBroadcast returns a broadcast over the passes. shards <= 1 delivers
@@ -182,9 +185,9 @@ func (b *Broadcast) Init() {
 		go func(shard []Pass, ch <-chan shardEpoch) {
 			for e := range ch {
 				switch {
-				case e.ctlEvs != nil:
+				case e.ctlPlane:
 					for _, p := range shard {
-						p.(CtlBatchConsumer).ConsumeCtlBatch(e.ctlEvs, e.ctl)
+						p.(CtlBatchConsumer).ConsumeCtlBatch(e.xs, e.first, e.end)
 					}
 				case e.seg:
 					for _, p := range shard {
@@ -242,15 +245,15 @@ func (b *Broadcast) ConsumeBatchSegmented(evs []Event, ctl []int32) {
 // ConsumeCtlBatch delivers one control-plane epoch. Producers call it
 // only when NeedPlanes() == PlaneCtl, which guarantees every pass
 // implements CtlBatchConsumer.
-func (b *Broadcast) ConsumeCtlBatch(evs []CtlEvent, ctl []int32) {
+func (b *Broadcast) ConsumeCtlBatch(xs []CtlEvent, first, end uint64) {
 	b.epochs++
 	if b.work == nil {
 		for _, p := range b.passes {
-			p.(CtlBatchConsumer).ConsumeCtlBatch(evs, ctl)
+			p.(CtlBatchConsumer).ConsumeCtlBatch(xs, first, end)
 		}
 		return
 	}
-	b.barrier(shardEpoch{ctlEvs: evs, ctl: ctl})
+	b.barrier(shardEpoch{ctlPlane: true, xs: xs, first: first, end: end})
 }
 
 // barrier sends one epoch to every shard worker and blocks until all of

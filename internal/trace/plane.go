@@ -2,13 +2,14 @@ package trace
 
 import "dynloop/internal/isa"
 
-// CtlEvent is the control-plane facet of a retired instruction: the five
-// fields a control-flow consumer (loop detector, branch predictor,
-// stream hash) reads, and nothing else. Producers that know every
-// attached consumer is control-only fill CtlEvents instead of full
-// Events — roughly a third of the stores per retired instruction — and
-// the archive decoder can fill them from the header plane alone, without
-// materializing the value plane at all.
+// CtlEvent is one control transfer on the control plane: a retired
+// branch, jump or ret (isa.Kind.EndsRun; calls are not transfers here),
+// with the five fields a control-flow consumer (loop detector, branch
+// predictor, stream hash) reads. The control plane is sparse: every
+// other instruction reaches a consumer only as part of the dynamic
+// index range a batch covers, so producers do work per transfer, not
+// per instruction, and the archive decoder never touches the value
+// plane at all.
 //
 // The batch-lifetime rules of Event apply unchanged: the slice passed to
 // ConsumeCtlBatch is owned by the producer and reused after the call
@@ -20,7 +21,7 @@ type CtlEvent struct {
 	PC isa.Addr
 	// Instr points at the static instruction.
 	Instr *isa.Instr
-	// Taken reports the branch outcome; it is true for jumps, calls and
+	// Taken reports the branch outcome; it is true for jumps and
 	// returns.
 	Taken bool
 	// Target is the resolved control-transfer destination when Taken
@@ -39,19 +40,20 @@ const (
 	PlaneData
 )
 
-// CtlBatchConsumer receives control-plane batches. ctl carries the same
-// producer-computed segmentation as SegmentedBatchConsumer: the
-// ascending indices into evs of the control-transfer events that end
-// loop-detector runs (branch, jump, ret — not call). Unlike the full
-// path, ctl is always provided on this interface; control-plane
-// producers compute it as a byproduct of filling evs.
+// CtlBatchConsumer receives control-plane batches. A batch covers the
+// dynamic indices [first, end) and xs holds exactly the control
+// transfers retired in that range (branch, jump, ret — not call), in
+// stream order; everything else in the range is straight-line work the
+// consumer sees only as a count. Batches are contiguous: each first
+// equals the previous batch's end. A batch may carry no transfer at
+// all, and producers never deliver an empty range.
 //
-// Producers deliver CtlEvents to a sink only when the sink implements
-// this interface AND PlanesOf(sink) == PlaneCtl; a consumer that
-// implements ConsumeCtlBatch must produce results observably identical
-// to its ConsumeBatch given the same stream.
+// Producers deliver here only when the sink implements this interface
+// AND PlanesOf(sink) == PlaneCtl; a consumer that implements
+// ConsumeCtlBatch must produce results observably identical to its
+// ConsumeBatch given the same stream.
 type CtlBatchConsumer interface {
-	ConsumeCtlBatch(evs []CtlEvent, ctl []int32)
+	ConsumeCtlBatch(xs []CtlEvent, first, end uint64)
 }
 
 // PlaneDeclarer lets a consumer state which facets it reads, overriding

@@ -12,14 +12,15 @@ type ctlPass struct {
 	segPass
 	ctlBatches int
 	ctlSum     uint64
-	ctlIdx     []int32
+	// ranges logs each control-plane batch's [first, end).
+	ranges [][2]uint64
 }
 
-func (p *ctlPass) ConsumeCtlBatch(evs []CtlEvent, ctl []int32) {
+func (p *ctlPass) ConsumeCtlBatch(xs []CtlEvent, first, end uint64) {
 	p.ctlBatches++
-	p.ctlIdx = append(p.ctlIdx, ctl...)
-	for i := range evs {
-		p.ctlSum += uint64(evs[i].PC)
+	p.ranges = append(p.ranges, [2]uint64{first, end})
+	for i := range xs {
+		p.ctlSum += uint64(xs[i].PC)
 	}
 }
 
@@ -44,7 +45,7 @@ func TestPlanesOf(t *testing.T) {
 		{"plain", &lifecyclePass{}, both},
 		{"segmented", &segPass{}, both},
 		{"ctl-capable", &ctlPass{}, PlaneCtl},
-		{"counter", &Counter{}, PlaneCtl},
+		{"counter", &Counter{}, both},
 		{"hash", NewHash(), PlaneCtl},
 		{"declares-both", &declarerPass{planes: both}, both},
 		{"declares-ctl", &declarerPass{planes: PlaneCtl}, PlaneCtl},
@@ -102,23 +103,28 @@ func TestAsPassKeepsCtlVisible(t *testing.T) {
 	if PlanesOf(p) != PlaneCtl {
 		t.Fatalf("adapted ctl consumer planes = %v", PlanesOf(p))
 	}
-	p.(CtlBatchConsumer).ConsumeCtlBatch(cevs, []int32{0})
-	if cp.ctlBatches != 1 || cp.ctlSum != 7 {
+	p.(CtlBatchConsumer).ConsumeCtlBatch(cevs, 0, 8)
+	if cp.ctlBatches != 1 || cp.ctlSum != 7 || cp.ranges[0] != [2]uint64{0, 8} {
 		t.Fatalf("ctl delivery through adapter: %+v", cp)
 	}
 	if _, ok := p.(SegmentedBatchConsumer); !ok {
 		t.Fatal("adapter hid ConsumeBatchSegmented")
 	}
 
-	// A Counter is ctl-capable but not segmentation-capable.
-	var c Counter
-	pc := AsPass(&c)
-	if PlanesOf(pc) != PlaneCtl {
-		t.Fatalf("adapted Counter planes = %v", PlanesOf(pc))
+	// A Hash is ctl-capable but not segmentation-capable.
+	h := NewHash()
+	ph := AsPass(h)
+	if PlanesOf(ph) != PlaneCtl {
+		t.Fatalf("adapted Hash planes = %v", PlanesOf(ph))
 	}
-	pc.(CtlBatchConsumer).ConsumeCtlBatch(cevs, []int32{0})
-	if c.Total != 1 || c.TakenBranches != 1 {
-		t.Fatalf("Counter through adapter: %+v", c)
+	ph.(CtlBatchConsumer).ConsumeCtlBatch(cevs, 0, 8)
+	if h.Sum == NewHash().Sum {
+		t.Fatal("Hash through adapter folded nothing")
+	}
+
+	// A Counter reads every instruction, so it stays full-plane.
+	if _, ok := AsPass(&Counter{}).(CtlBatchConsumer); ok {
+		t.Fatal("Counter adapter offers ConsumeCtlBatch")
 	}
 
 	// A plain consumer must NOT gain ctl capability from the adapter.
@@ -136,7 +142,7 @@ func TestAsPassKeepsCtlVisible(t *testing.T) {
 // when every pass is.
 func TestBroadcastPlaneNegotiation(t *testing.T) {
 	both := PlaneCtl | PlaneData
-	if got := NewBroadcast(0, AsPass(&ctlPass{}), AsPass(&Counter{})).NeedPlanes(); got != PlaneCtl {
+	if got := NewBroadcast(0, AsPass(&ctlPass{}), AsPass(NewHash())).NeedPlanes(); got != PlaneCtl {
 		t.Fatalf("all-ctl broadcast planes = %v", got)
 	}
 	if got := NewBroadcast(0, AsPass(&ctlPass{}), &lifecyclePass{}).NeedPlanes(); got != both {
@@ -145,17 +151,18 @@ func TestBroadcastPlaneNegotiation(t *testing.T) {
 	if got := NewBroadcast(0).NeedPlanes(); got != PlaneCtl {
 		t.Fatalf("empty broadcast planes = %v", got)
 	}
-	if got := (BatchTee{&Counter{}, NewHash()}).NeedPlanes(); got != PlaneCtl {
+	if got := (BatchTee{&ctlPass{}, NewHash()}).NeedPlanes(); got != PlaneCtl {
 		t.Fatalf("all-ctl tee planes = %v", got)
 	}
-	if got := (BatchTee{&Counter{}, &Recorder{}}).NeedPlanes(); got != both {
+	if got := (BatchTee{NewHash(), &Counter{}}).NeedPlanes(); got != both {
 		t.Fatalf("mixed tee planes = %v", got)
 	}
 }
 
 // TestBroadcastCtlDelivery: control-plane batches reach every pass with
-// the producer's ctl indices, inline and sharded, and the sharded path
+// the producer's index range, inline and sharded, and the sharded path
 // is safe against the producer reusing its buffers (the batch barrier).
+// Batches with no transfer are delivered like any other.
 func TestBroadcastCtlDelivery(t *testing.T) {
 	br := isa.Instr{Kind: isa.KindBranch}
 	run := func(shards int) (uint64, uint64) {
@@ -166,22 +173,23 @@ func TestBroadcastCtlDelivery(t *testing.T) {
 		}
 		bc.Init()
 		buf := make([]CtlEvent, 32)
-		ctl := make([]int32, 32)
-		pc := uint64(0)
+		pc, first := uint64(0), uint64(0)
 		for epoch := 0; epoch < 50; epoch++ {
-			for i := range buf {
+			n := epoch % len(buf) // epoch 0 carries no transfer
+			for i := 0; i < n; i++ {
 				pc++
-				buf[i] = CtlEvent{PC: isa.Addr(pc), Instr: &br, Taken: i%2 == 0}
+				buf[i] = CtlEvent{Index: first + uint64(i), PC: isa.Addr(pc), Instr: &br, Taken: i%2 == 0}
 			}
-			ctl[0] = int32(epoch % len(buf))
-			bc.ConsumeCtlBatch(buf, ctl[:1])
+			end := first + uint64(n) + 3
+			bc.ConsumeCtlBatch(buf[:n], first, end)
+			first = end
 		}
 		bc.Finalize()
 		if a.ctlBatches != 50 || b.ctlBatches != 50 || a.batches != 0 || a.segBatches != 0 {
 			t.Fatalf("shards=%d: a=%+v b=%+v", shards, a, b)
 		}
-		if len(a.ctlIdx) != 50 || a.ctlIdx[3] != 3 {
-			t.Fatalf("shards=%d: ctl indices %v", shards, a.ctlIdx[:4])
+		if a.ranges[0] != [2]uint64{0, 3} || a.ranges[3] != [2]uint64{12, 18} || b.ranges[49] != a.ranges[49] {
+			t.Fatalf("shards=%d: ranges %v", shards, a.ranges[:4])
 		}
 		if bc.Epochs() != 50 {
 			t.Fatalf("shards=%d: epochs = %d", shards, bc.Epochs())
@@ -197,9 +205,10 @@ func TestBroadcastCtlDelivery(t *testing.T) {
 	}
 }
 
-// TestCtlConsumerEquivalence: Counter and Hash must produce identical
-// results from a control-plane batch and from the equivalent full-Event
-// batch — the contract ConsumeCtlBatch implementations promise.
+// TestCtlConsumerEquivalence: Hash must produce identical results from
+// a control-plane batch (the transfers only) and from the equivalent
+// full-Event batch — the contract ConsumeCtlBatch implementations
+// promise — and must fold every transfer field it claims to.
 func TestCtlConsumerEquivalence(t *testing.T) {
 	br := isa.Instr{Kind: isa.KindBranch, Target: 4}
 	add := isa.Instr{Kind: isa.KindALU}
@@ -207,33 +216,34 @@ func TestCtlConsumerEquivalence(t *testing.T) {
 		{Index: 0, PC: 1, Instr: &add, WroteReg: true, WrittenReg: 3, WrittenVal: 99, MemAddr: 8, MemVal: 7},
 		{Index: 1, PC: 2, Instr: &br, Taken: true, Target: 4},
 		{Index: 2, PC: 4, Instr: &br},
+		{Index: 3, PC: 5, Instr: &add},
 	}
-	ctlEvs := make([]CtlEvent, len(full))
-	for i, ev := range full {
-		ctlEvs[i] = CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr, Taken: ev.Taken, Target: ev.Target}
-	}
-	ctl := []int32{1, 2}
-
-	var cf, cc Counter
-	cf.ConsumeBatch(full)
-	cc.ConsumeCtlBatch(ctlEvs, ctl)
-	if cf != cc {
-		t.Fatalf("Counter: full %+v != ctl %+v", cf, cc)
+	var xs []CtlEvent
+	for _, ev := range full {
+		if ev.Instr.Kind.EndsRun() {
+			xs = append(xs, CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr, Taken: ev.Taken, Target: ev.Target})
+		}
 	}
 
 	hf, hc := NewHash(), NewHash()
 	hf.ConsumeBatch(full)
-	hc.ConsumeCtlBatch(ctlEvs, ctl)
+	hc.ConsumeCtlBatch(xs, 0, 4)
 	if hf.Sum != hc.Sum {
 		t.Fatalf("Hash: full %#x != ctl %#x", hf.Sum, hc.Sum)
 	}
+	shifted := append([]CtlEvent(nil), xs...)
+	shifted[0].Index++
+	hs := NewHash()
+	hs.ConsumeCtlBatch(shifted, 0, 4)
+	if hs.Sum == hc.Sum {
+		t.Fatal("Hash ignores the transfer index")
+	}
 
 	// BatchTee forwards the control plane to every member.
-	var ct Counter
-	ht := NewHash()
-	tee := BatchTee{&ct, ht}
-	tee.ConsumeCtlBatch(ctlEvs, ctl)
-	if ct != cc || ht.Sum != hc.Sum {
-		t.Fatalf("tee ctl delivery diverged: %+v %#x", ct, ht.Sum)
+	ht, hu := NewHash(), NewHash()
+	tee := BatchTee{ht, hu}
+	tee.ConsumeCtlBatch(xs, 0, 4)
+	if ht.Sum != hc.Sum || hu.Sum != hc.Sum {
+		t.Fatalf("tee ctl delivery diverged: %#x %#x", ht.Sum, hu.Sum)
 	}
 }

@@ -70,8 +70,8 @@ type BatchConsumer interface {
 // SegmentedBatchConsumer is a BatchConsumer that can additionally accept
 // producer-computed stream segmentation. ctl holds the ascending indices
 // into evs of the control-transfer events that end loop-detector runs —
-// exactly the events whose Instr.Kind is KindBranch, KindJump or KindRet
-// (calls are not run boundaries; §2.1 of the paper). Producers that
+// exactly the events whose Instr.Kind.EndsRun() (branch, jump, ret;
+// calls are not run boundaries, §2.1 of the paper). Producers that
 // already know where those events are (the interpreter's dispatch, the
 // trace-file block decoder) hand the indices over so consumers skip
 // their own per-event kind scan; ConsumeBatchSegmented(evs, ctl) must be
@@ -174,14 +174,14 @@ func (t BatchTee) NeedPlanes() Planes {
 // ConsumeCtlBatch forwards a control-plane batch to every consumer.
 // Producers only deliver here when NeedPlanes() == PlaneCtl, which
 // guarantees every member implements CtlBatchConsumer.
-func (t BatchTee) ConsumeCtlBatch(evs []CtlEvent, ctl []int32) {
+func (t BatchTee) ConsumeCtlBatch(xs []CtlEvent, first, end uint64) {
 	for _, c := range t {
-		c.(CtlBatchConsumer).ConsumeCtlBatch(evs, ctl)
+		c.(CtlBatchConsumer).ConsumeCtlBatch(xs, first, end)
 	}
 }
 
-// Counter counts retired instructions by kind. The zero value is ready to
-// use.
+// Counter counts retired instructions by kind, so it reads every event
+// and is a full-plane consumer. The zero value is ready to use.
 type Counter struct {
 	// Total is the number of events seen.
 	Total uint64
@@ -220,23 +220,6 @@ func (c *Counter) ConsumeBatch(evs []Event) {
 	}
 }
 
-// ConsumeCtlBatch tallies every event in a control-plane batch; the
-// tallies read only control-facet fields, so the counts match the full
-// path exactly.
-func (c *Counter) ConsumeCtlBatch(evs []CtlEvent, _ []int32) {
-	c.Total += uint64(len(evs))
-	for i := range evs {
-		ev := &evs[i]
-		c.ByKind[ev.Instr.Kind]++
-		if ev.Instr.Kind == isa.KindBranch {
-			c.Branches++
-			if ev.Taken {
-				c.TakenBranches++
-			}
-		}
-	}
-}
-
 // Recorder stores copies of every event; it is a test helper.
 type Recorder struct {
 	// Events holds the copied events in order.
@@ -249,9 +232,12 @@ func (r *Recorder) Consume(ev *Event) { r.Events = append(r.Events, *ev) }
 // ConsumeBatch appends a copy of every event in the batch.
 func (r *Recorder) ConsumeBatch(evs []Event) { r.Events = append(r.Events, evs...) }
 
-// Hash is a 64-bit FNV-1a accumulator over the control-flow facet of the
-// stream (PC, taken, target). Two runs with the same seed must produce the
-// same hash; determinism tests rely on it.
+// Hash is a 64-bit FNV-1a accumulator over the stream's control
+// transfers (isa.Kind.EndsRun): each transfer's Index, PC, taken bit and
+// target. Given the program these fix every PC of the stream, so one
+// hash witnesses the full plane and the sparse control plane alike. Two
+// runs with the same seed must produce the same hash; determinism tests
+// rely on it.
 type Hash struct {
 	// Sum is the running hash; read it after the run.
 	Sum uint64
@@ -262,51 +248,44 @@ func NewHash() *Hash { return &Hash{Sum: 14695981039346656037} }
 
 const fnvPrime = 1099511628211
 
-// Consume folds the event's control-flow fields into the hash.
-func (h *Hash) Consume(ev *Event) {
-	s := h.Sum
-	s = (s ^ uint64(ev.PC)) * fnvPrime
+// fold folds one transfer into the running sum s.
+func fold(s, index uint64, pc isa.Addr, taken bool, target isa.Addr) uint64 {
+	s = (s ^ index) * fnvPrime
+	s = (s ^ uint64(pc)) * fnvPrime
 	t := uint64(0)
-	if ev.Taken {
+	if taken {
 		t = 1
 	}
 	s = (s ^ t) * fnvPrime
-	s = (s ^ uint64(ev.Target)) * fnvPrime
-	h.Sum = s
+	return (s ^ uint64(target)) * fnvPrime
 }
 
-// ConsumeBatch folds the whole batch into the hash, keeping the running
-// sum in a register across the loop.
+// Consume folds the event into the hash if it is a control transfer.
+func (h *Hash) Consume(ev *Event) {
+	if ev.Instr.Kind.EndsRun() {
+		h.Sum = fold(h.Sum, ev.Index, ev.PC, ev.Taken, ev.Target)
+	}
+}
+
+// ConsumeBatch folds the batch's control transfers into the hash,
+// keeping the running sum in a register across the loop.
 func (h *Hash) ConsumeBatch(evs []Event) {
 	s := h.Sum
 	for i := range evs {
-		ev := &evs[i]
-		s = (s ^ uint64(ev.PC)) * fnvPrime
-		t := uint64(0)
-		if ev.Taken {
-			t = 1
+		if ev := &evs[i]; ev.Instr.Kind.EndsRun() {
+			s = fold(s, ev.Index, ev.PC, ev.Taken, ev.Target)
 		}
-		s = (s ^ t) * fnvPrime
-		s = (s ^ uint64(ev.Target)) * fnvPrime
 	}
 	h.Sum = s
 }
 
-// ConsumeCtlBatch folds a control-plane batch into the hash. The hash
-// covers every event (not just control transfers), so it walks the whole
-// batch and ignores ctl; the sum is identical to the full-Event path
-// because only control-facet fields are folded in.
-func (h *Hash) ConsumeCtlBatch(evs []CtlEvent, _ []int32) {
+// ConsumeCtlBatch folds a control-plane batch into the hash: the batch
+// carries exactly the transfers ConsumeBatch would fold.
+func (h *Hash) ConsumeCtlBatch(xs []CtlEvent, _, _ uint64) {
 	s := h.Sum
-	for i := range evs {
-		ev := &evs[i]
-		s = (s ^ uint64(ev.PC)) * fnvPrime
-		t := uint64(0)
-		if ev.Taken {
-			t = 1
-		}
-		s = (s ^ t) * fnvPrime
-		s = (s ^ uint64(ev.Target)) * fnvPrime
+	for i := range xs {
+		ev := &xs[i]
+		s = fold(s, ev.Index, ev.PC, ev.Taken, ev.Target)
 	}
 	h.Sum = s
 }

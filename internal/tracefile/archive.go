@@ -209,13 +209,13 @@ const decodeBatch = 1024
 // Decoder holds the reusable block and event buffers for Replay. The
 // zero value is ready to use; the first Replay warms it and subsequent
 // replays do not allocate. Full-plane and control-plane replays use
-// separate event buffers, so a decoder serving only control-plane sinks
-// never allocates the (5x larger) full-event buffer.
+// separate buffers, so a decoder serving only control-plane sinks never
+// allocates the full-event buffer.
 type Decoder struct {
-	blk    []byte
-	evs    []trace.Event
-	ctlEvs []trace.CtlEvent
-	ctl    []int32
+	blk  []byte
+	evs  []trace.Event
+	ctl  []int32
+	walk ctlWalk
 }
 
 // Replay streams the first min(budget, Events) recorded events to sink
@@ -234,8 +234,9 @@ type Decoder struct {
 //
 // Replay negotiates event facets exactly as the interpreter's Run does:
 // a sink that accepts control-plane batches and needs only the control
-// facet is served by the header-plane-only decoder (decodeEventsCtl),
-// which never materializes value fields at all.
+// facet is served by the control-plane walk (ctlWalk), which reads the
+// header bytes of control instructions only and delivers sparse
+// batches of transfers.
 func (r *Recording) Replay(budget uint64, d *Decoder, sink trace.BatchConsumer) (uint64, bool, error) {
 	if d == nil {
 		d = &Decoder{}
@@ -323,30 +324,27 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 	return n, r.halted && n == r.events, nil
 }
 
-// replayCtl is the control-plane replay loop: the same block/chunk
-// structure as Replay, but decoding header-plane-only control events.
-// The run-boundary side channel is collected as a byproduct and always
-// delivered. Blocks were full-decode-verified at load and their CRC is
-// re-checked on read, so this path skips the end-of-block revalidation.
+// replayCtl is the control-plane replay loop: the same block structure
+// as replayFull, but each block is walked transfer to transfer by
+// ctlWalk, and the pending batch is flushed at every block end, so a
+// failing block read leaves exactly the preceding blocks delivered.
+// Blocks were full-decode-verified at load and their CRC is re-checked
+// on read, so this path skips the end-of-block revalidation.
 func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchConsumer) (uint64, bool, error) {
 	limit := r.events
 	if budget != 0 && budget < limit {
 		limit = budget
 	}
-	if d.ctlEvs == nil {
-		d.ctlEvs = make([]trace.CtlEvent, decodeBatch)
+	w := &d.walk
+	if w.xs == nil {
+		w.xs = make([]trace.CtlEvent, decodeBatch)
 	}
-	if d.ctl == nil {
-		d.ctl = make([]int32, decodeBatch)
-	}
+	w.k, w.first, w.stack = 0, 0, w.stack[:0]
 	d.growBlk(r.maxBlock)
 	var n uint64
 	for i := range r.blocks {
 		b := &r.blocks[i]
-		take := b.count
-		if n+take > limit {
-			take = limit - n
-		}
+		take := min(b.count, limit-n)
 		if take == 0 {
 			break
 		}
@@ -354,27 +352,11 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 		if err != nil {
 			return n, false, err
 		}
-		hlim := int(b.count)
-		hpos, vpos, pc := 0, hlim, b.startPC
-		for take > 0 {
-			chunk := take
-			if chunk > decodeBatch {
-				chunk = decodeBatch
-			}
-			evs := d.ctlEvs[:chunk]
-			var cn int
-			var err error
-			hpos, vpos, pc, cn, err = decodeEventsCtl(payload, hpos, hlim, vpos, pc, evs, n, r.tmpls, d.ctl)
-			if err != nil {
-				return n, false, fmt.Errorf("verified block %d failed to decode: %w", i, err)
-			}
-			sink.ConsumeCtlBatch(evs, d.ctl[:cn])
-			n += uint64(chunk)
-			take -= uint64(chunk)
+		if err := w.block(payload[:b.count], b.startPC, n, take, r.tmpls, sink); err != nil {
+			return n, false, fmt.Errorf("verified block %d failed to decode: %w", i, err)
 		}
-		if n == limit {
-			break
-		}
+		n += take
+		w.flush(n, sink)
 	}
 	return n, r.halted && n == r.events, nil
 }
@@ -597,8 +579,10 @@ func parseArchive(src io.ReaderAt, size int64) (*Recording, int64, error) {
 }
 
 // parseFrames is parseArchive's walk over the header and frames. Each
-// block is read into one reused block-sized buffer, CRC-checked and
-// fully decoded; only its index entry is kept.
+// block is read into one reused block-sized buffer, CRC-checked, fully
+// decoded and its return targets checked against a shadow call stack
+// that runs across the recording's blocks (checkReturns); only its
+// index entry is kept.
 func parseFrames(src io.ReaderAt, size int64) (*Recording, int64, error) {
 	sr := io.NewSectionReader(src, 0, size)
 	br := bufio.NewReader(sr)
@@ -725,8 +709,12 @@ func parseFrames(src io.ReaderAt, size int64) (*Recording, int64, error) {
 				if chunk > decodeBatch {
 					chunk = decodeBatch
 				}
+				evs := scratch.evs[:chunk]
 				var verr error
-				hpos, vpos, vpc, _, verr = decodeEventsPacked(payload, hpos, int(count), vpos, vpc, scratch.evs[:chunk], rec.events+count-left, rec.tmpls, chunk == left, nil)
+				hpos, vpos, vpc, _, verr = decodeEventsPacked(payload, hpos, int(count), vpos, vpc, evs, rec.events+count-left, rec.tmpls, chunk == left, nil)
+				if verr == nil {
+					scratch.walk.stack, verr = checkReturns(evs, rec.tmpls, scratch.walk.stack)
+				}
 				if verr != nil {
 					return nil, -1, fmt.Errorf("%w: %v", errInvalid, verr)
 				}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,7 +14,10 @@ import (
 	"time"
 
 	"dynloop/internal/builder"
+	"dynloop/internal/interp"
+	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
+	"dynloop/internal/program"
 	"dynloop/internal/trace"
 )
 
@@ -439,6 +443,102 @@ func TestArchiveBlockCorruptionFallsBackAndReRecords(t *testing.T) {
 	}
 }
 
+// TestReturnTargetInvariant: control-plane replay takes return targets
+// from a shadow call stack, so validation must reject any recording
+// whose recorded ret target is not the address the matching call
+// pushed — even when the rest of the block still decodes. The program
+// ends on a call whose return lands on one of two twin halts; pointing
+// the recorded target at the other twin keeps the full decode
+// well-formed, so only the return check can catch it. Open must skip
+// and count the file (its block CRC recomputed to match), and a
+// Recorder fed the same stream must fail Commit.
+func TestReturnTargetInvariant(t *testing.T) {
+	p := &program.Program{Name: "rets", Code: []isa.Instr{
+		isa.MovI(1, 3),                // 0
+		isa.Call(7),                   // 1
+		isa.AddI(1, 1, -1),            // 2
+		isa.Branch(isa.CondNEZ, 1, 1), // 3
+		isa.Call(7),                   // 4: returns to 5
+		isa.Halt(),                    // 5
+		isa.Halt(),                    // 6: the twin
+		isa.Ret(),                     // 7
+	}}
+	dir := t.TempDir()
+	a, err := OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.BeginRecord("rets", 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &trace.Recorder{}
+	cpu := interp.New(p)
+	if _, err := cpu.Run(0, trace.Tee{rec, live}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Commit(cpu.Halted()); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := a.Lookup("rets", 1)
+	if len(r.blocks) != 1 {
+		t.Fatalf("want one block, got %d", len(r.blocks))
+	}
+	b := r.blocks[0]
+	a.Close()
+
+	// The last ret's 1-byte target is the final field before the pad.
+	path := archFile(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[b.off : b.off+int64(b.size)]
+	at := len(payload) - blockPad - 1
+	if payload[at] != 5 {
+		t.Fatalf("last ret target byte = %d, want 5", payload[at])
+	}
+	payload[at] = 6
+	binary.LittleEndian.PutUint32(data[b.off-4:], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The full decode alone still accepts the block.
+	var d Decoder
+	d.evs = make([]trace.Event, b.count)
+	if _, _, _, _, err := decodeEventsPacked(payload, 0, int(b.count), int(b.count), b.startPC, d.evs, 0, r.tmpls, true, nil); err != nil {
+		t.Fatalf("corrupted block no longer decodes, so the test proves nothing: %v", err)
+	}
+	cold, err := OpenArchive(dir)
+	if err != nil {
+		t.Fatalf("a bad return target must not fail Open: %v", err)
+	}
+	defer cold.Close()
+	if _, ok := cold.Lookup("rets", 1); ok {
+		t.Fatal("recording with a bad return target served")
+	}
+	if st := cold.Stats(); st.Invalidated != 1 {
+		t.Fatalf("Invalidated = %d, want 1", st.Invalidated)
+	}
+
+	// The same stream fed to a Recorder must fail Commit.
+	evs := append([]trace.Event(nil), live.Events...)
+	last := len(evs) - 1
+	if evs[last-1].Instr.Kind != isa.KindRet || evs[last].PC != 5 {
+		t.Fatalf("stream tail %+v %+v, want ret then halt at 5", evs[last-1], evs[last])
+	}
+	evs[last-1].Target = 6
+	evs[last].PC, evs[last].Instr = 6, &p.Code[6]
+	bad, err := cold.BeginRecord("rets", 2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.ConsumeBatch(evs)
+	if err := bad.Commit(true); err == nil {
+		t.Fatal("Commit accepted a stream whose ret does not return to its call")
+	}
+}
+
 // flipAt XORs one byte of the file at path in place, so a reader that
 // already holds the file open sees the change.
 func flipAt(t *testing.T, path string, off int64) {
@@ -767,9 +867,9 @@ func FuzzReplayArchive(f *testing.F) {
 		if n != rec.Events() {
 			t.Fatalf("replayed %d of %d events", n, rec.Events())
 		}
-		// Plane differential: the header-plane-only decode (Hash is a
-		// control-only sink) and the full decode must agree on any
-		// accepted input.
+		// Plane differential: the control-plane walk (Hash is a
+		// control-only sink) and the full decode must agree on the
+		// transfer hash of any accepted input.
 		fh := trace.NewHash()
 		fn, _, err := rec.Replay(0, nil, trace.ForceFullPlane(fh))
 		if err != nil || fn != n || fh.Sum != h.Sum {

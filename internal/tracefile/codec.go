@@ -7,7 +7,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
+	"dynloop/internal/interp"
 	"dynloop/internal/isa"
 	"dynloop/internal/program"
 	"dynloop/internal/trace"
@@ -130,7 +132,8 @@ func readProgram(br byteReader) (*program.Program, error) {
 // Per event: one header byte, then 0-2 little-endian fields whose
 // byte widths (1, 2, 4 or 8) the header's 2-bit length codes announce:
 //
-//	bit0:    taken (control kinds only; drives the pc chain)
+//	bit0:    taken (control kinds only; drives the pc chain, and is
+//	         the only header bit the control-plane walk reads)
 //	bits1-2: primary length code — WrittenVal (ALU/seq, zigzag),
 //	         MemVal (load/store, zigzag), or Target (ret, unsigned)
 //	bits3-4: mem-addr length code (load/store)
@@ -231,8 +234,9 @@ const (
 	// tmplRet marks returns: the one taken transfer whose target is in
 	// the stream rather than the template.
 	tmplRet = 1 << 2
-	// tmplCtl marks loop-detector run boundaries (branch/jump/ret; see
-	// trace.SegmentedBatchConsumer) for ctl side-channel collection.
+	// tmplCtl marks loop-detector run boundaries (isa.Kind.EndsRun):
+	// the transfers a control-plane batch carries and the full plane's
+	// segmentation side channel lists.
 	tmplCtl = 1 << 3
 	// tmplFuse marks a plain register write (ALU/seq) whose static
 	// successor is also one: the decoder's analogue of the interpreter's
@@ -240,10 +244,14 @@ const (
 	// one iteration — one dispatch, one loop trip — since neither event
 	// can transfer control or touch the ctl side channel.
 	tmplFuse = 1 << 4
+	// tmplCall marks calls: the control-plane walk pushes their return
+	// address on its shadow call stack.
+	tmplCall = 1 << 5
 )
 
 // evTmpl is one per-pc decode template: the static share of every event
-// retired at that pc.
+// retired at that pc. It is 16 bytes; run lives in what would otherwise
+// be padding.
 type evTmpl struct {
 	// in is the static instruction, shared by every decoded event.
 	in *isa.Instr
@@ -252,6 +260,11 @@ type evTmpl struct {
 	flags  uint8
 	// rd is the written register for tmplWroteReg kinds.
 	rd uint8
+	// run is the straight-line run length from this pc: how many
+	// consecutive instructions starting here cannot redirect the pc
+	// (saturating at the uint16 maximum). It is 0 exactly at control
+	// instructions. The control-plane walk hops whole runs with it.
+	run uint16
 }
 
 // buildTmpls precomputes the decode-template table for a program image.
@@ -270,13 +283,16 @@ func buildTmpls(code []isa.Instr) []evTmpl {
 			t.rd = uint8(in.Rd)
 		case isa.KindStore:
 			t.flags = tmplHasMem
-		case isa.KindBranch, isa.KindJump:
-			t.flags = tmplCtl
-			t.target = uint32(in.Target)
 		case isa.KindCall:
+			t.flags = tmplCall
 			t.target = uint32(in.Target)
 		case isa.KindRet:
-			t.flags = tmplRet | tmplCtl
+			t.flags = tmplRet
+		case isa.KindBranch, isa.KindJump:
+			t.target = uint32(in.Target)
+		}
+		if in.Kind.EndsRun() {
+			t.flags |= tmplCtl
 		}
 	}
 	// Fusion pass: mark plain register writes followed by another (the
@@ -285,6 +301,16 @@ func buildTmpls(code []isa.Instr) []evTmpl {
 		if tmpls[i].flags == tmplWroteReg && tmpls[i+1].flags == tmplWroteReg {
 			tmpls[i].flags |= tmplFuse
 		}
+	}
+	// Run pass, back to front: a run extends its successor's by one.
+	run := 0
+	for i := len(code) - 1; i >= 0; i-- {
+		if code[i].Kind.IsControl() {
+			run = 0
+			continue
+		}
+		run = min(run+1, math.MaxUint16)
+		tmpls[i].run = uint16(run)
 	}
 	return tmpls
 }
@@ -380,7 +406,7 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 			vpos += 1 << c
 			ev.MemAddr = a
 			ev.MemVal = int64(x<<s) >> s
-		} else {
+		} else if f != 0 { // a control instruction (halt and nop have no flags)
 			if h&1 != 0 { // taken transfer
 				tgt := uint64(t.target)
 				if f&tmplRet != 0 {
@@ -437,7 +463,7 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 				vpos += 1 << c
 				ev.MemAddr, ev.MemVal = a, v
 			}
-		} else if h&1 != 0 {
+		} else if f != 0 && h&1 != 0 { // taken transfer (halt and nop have no flags)
 			tgt := uint64(t.target)
 			if f&tmplRet != 0 {
 				if vpos+8 > n {
@@ -472,77 +498,118 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 	return hpos, vpos, pc, cn, nil
 }
 
-// decodeEventsCtl decodes len(evs) packed records from blk into
-// control-plane events: it walks the header plane only, skipping over
-// the field plane arithmetically (the 2-bit width codes say how many
-// bytes each record spent without loading them). The single value-plane
-// read left is the return target of ret records — the one control
-// transfer whose destination is dynamic. ctl (len >= len(evs)) always
-// receives the run-boundary indices; the count is returned.
-//
-// This path never re-validates the block tail — every block was
-// full-decoded once at parse time (parseArchive / Commit) and Replay
-// re-checks the block's CRC before decoding it, so a control-plane
-// replay is working over bytes already proven well-formed.
-// The offsets thread through successive calls exactly as in
-// decodeEventsPacked, so full and ctl chunked decodes interleave
-// identically with budget truncation.
-func decodeEventsCtl(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace.CtlEvent, base uint64, tmpls []evTmpl, ctl []int32) (int, int, uint64, int, error) {
-	n := len(blk)
-	cn := 0
-	hdr := blk[hpos:hlim]
-	if len(hdr) < len(evs) {
-		return hpos, vpos, pc, cn, fmt.Errorf("%w: block truncated at event %d", ErrCorrupt, len(hdr))
-	}
-	for i := 0; i < len(evs); i++ {
+// ctlWalk is the control-plane replay of a recording: a basic-block walk
+// over the pc chain that reads nothing but the template table and the
+// header bytes of control instructions. Straight-line runs are hopped
+// whole with evTmpl.run, their header bytes never loaded, and ret
+// targets come from a shadow call stack instead of the field plane —
+// exact because validation (checkReturns) proved every recorded return
+// target equals what the matching call pushed. The walk pays per
+// transfer, not per event.
+type ctlWalk struct {
+	// xs buffers the pending batch's transfers; k counts them, and the
+	// batch covers the dynamic indices from first.
+	xs    []trace.CtlEvent
+	k     int
+	first uint64
+	// stack is the shadow call stack of return addresses.
+	stack []uint32
+}
+
+// block walks the first take events of a block whose header plane is
+// hdr (len(hdr) >= take), starting at pc and numbering events from
+// base. A batch is delivered to sink whenever xs fills; the caller
+// flushes the remainder with flush.
+func (w *ctlWalk) block(hdr []byte, pc, base, take uint64, tmpls []evTmpl, sink trace.CtlBatchConsumer) error {
+	for i := uint64(0); i < take; {
 		if pc >= uint64(len(tmpls)) {
-			return hpos + i, vpos, pc, cn, fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, i)
+			return fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, base+i)
 		}
 		t := &tmpls[pc]
-		h := hdr[i]
-		evs[i] = trace.CtlEvent{Index: base + uint64(i), PC: isa.Addr(pc), Instr: t.in}
+		if r := uint64(t.run); r != 0 { // straight-line run: hop it
+			r = min(r, take-i)
+			i += r
+			pc += r
+			continue
+		}
 		next := pc + 1
-		if f := t.flags; f&(tmplWroteReg|tmplHasMem) != 0 {
-			vpos += 1 << (h >> 1 & 3)
-			if f&tmplHasMem != 0 {
-				vpos += 1 << (h >> 3 & 3)
-			} else if f&tmplFuse != 0 && i+1 < len(evs) {
-				// Fused pair: the successor is statically another plain
-				// register write, so spend its header byte in the same
-				// iteration — the ctl analogue of the full decoder's pair
-				// arm, with only width arithmetic on the field plane.
-				evs[i+1] = trace.CtlEvent{Index: base + uint64(i+1),
-					PC: isa.Addr(pc + 1), Instr: tmpls[pc+1].in}
-				vpos += 1 << (hdr[i+1] >> 1 & 3)
-				pc += 2
-				i++
-				continue
-			}
-		} else {
-			if h&1 != 0 { // taken transfer
-				tgt := uint64(t.target)
-				if f&tmplRet != 0 {
-					if vpos+8 > n {
-						return hpos + i, vpos, pc, cn, fmt.Errorf("%w: ret target at event %d", ErrCorrupt, i)
-					}
-					c := h >> 1 & 3
-					tgt = binary.LittleEndian.Uint64(blk[vpos:vpos+8]) & fieldMask[c]
-					vpos += 1 << c
+		taken := hdr[i]&1 != 0
+		tgt := uint64(t.target)
+		if taken {
+			switch {
+			case t.flags&tmplCall != 0:
+				w.stack = append(w.stack, uint32(next))
+			case t.flags&tmplRet != 0:
+				n := len(w.stack)
+				if n == 0 {
+					return fmt.Errorf("%w: ret on an empty call stack at event %d", ErrCorrupt, base+i)
 				}
-				ev := &evs[i]
-				ev.Taken, ev.Target = true, isa.Addr(tgt)
-				next = tgt
+				tgt = uint64(w.stack[n-1])
+				w.stack = w.stack[:n-1]
 			}
-			if f&tmplCtl != 0 {
-				ctl[cn] = int32(i)
-				cn++
+			next = tgt
+		}
+		if t.flags&tmplCtl != 0 { // calls are not transfers on this plane
+			ev := &w.xs[w.k]
+			if taken {
+				*ev = trace.CtlEvent{Index: base + i, PC: isa.Addr(pc), Instr: t.in,
+					Taken: true, Target: isa.Addr(tgt)}
+			} else {
+				*ev = trace.CtlEvent{Index: base + i, PC: isa.Addr(pc), Instr: t.in}
+			}
+			if w.k++; w.k == len(w.xs) {
+				w.flush(base+i+1, sink)
 			}
 		}
+		i++
 		pc = next
 	}
-	hpos += len(evs)
-	if vpos > n-blockPad {
-		return hpos, vpos, pc, cn, fmt.Errorf("%w: field plane overrun", ErrCorrupt)
+	return nil
+}
+
+// flush delivers the pending batch, which ends at dynamic index end.
+func (w *ctlWalk) flush(end uint64, sink trace.CtlBatchConsumer) {
+	if end > w.first {
+		sink.ConsumeCtlBatch(w.xs[:w.k], w.first, end)
 	}
-	return hpos, vpos, pc, cn, nil
+	w.first, w.k = end, 0
+}
+
+// checkReturns is the ISA rule control-plane replay relies on — ret
+// pops what call pushed — checked over a chunk of full-decoded events:
+// stack is the recording's shadow call stack so far. It hops
+// straight-line runs like ctlWalk, so it costs per transfer, not per
+// event. Calls, jumps and rets must be recorded taken (the recorder
+// never writes otherwise), a call may not nest past interp.MaxCallDepth,
+// and every return target must equal the address its call pushed.
+func checkReturns(evs []trace.Event, tmpls []evTmpl, stack []uint32) ([]uint32, error) {
+	for i := 0; i < len(evs); {
+		ev := &evs[i]
+		t := &tmpls[ev.PC]
+		if t.run != 0 {
+			i += int(t.run)
+			continue
+		}
+		i++
+		if !ev.Taken {
+			if t.flags&(tmplCall|tmplRet) != 0 || ev.Instr.Kind == isa.KindJump {
+				return stack, fmt.Errorf("%w: untaken %s at event %d", ErrCorrupt, ev.Instr.Kind, ev.Index)
+			}
+			continue
+		}
+		switch {
+		case t.flags&tmplCall != 0:
+			if len(stack) >= interp.MaxCallDepth {
+				return stack, fmt.Errorf("%w: call depth over %d at event %d", ErrCorrupt, interp.MaxCallDepth, ev.Index)
+			}
+			stack = append(stack, uint32(ev.PC)+1)
+		case t.flags&tmplRet != 0:
+			n := len(stack)
+			if n == 0 || isa.Addr(stack[n-1]) != ev.Target {
+				return stack, fmt.Errorf("%w: return target %d does not match the call stack at event %d", ErrCorrupt, ev.Target, ev.Index)
+			}
+			stack = stack[:n-1]
+		}
+	}
+	return stack, nil
 }

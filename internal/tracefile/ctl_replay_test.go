@@ -1,118 +1,222 @@
 package tracefile
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
+	"dynloop/internal/builder"
+	"dynloop/internal/interp"
 	"dynloop/internal/isa"
+	"dynloop/internal/program"
 	"dynloop/internal/trace"
 )
 
 // ctlSink accepts only control-plane delivery; ConsumeBatch panicking
-// proves Replay dispatched to the header-plane decoder. ctl indices are
-// resolved to absolute stream positions.
+// proves Replay dispatched to the control-plane walk. It checks the
+// sparse-delivery contract as batches arrive — each first equals the
+// previous end, and every transfer is a run-ending kind inside its
+// batch's range, in stream order — and keeps the first violation.
 type ctlSink struct {
-	events []trace.CtlEvent
-	ctl    []int
+	xs []trace.CtlEvent
+	// end is the last batch's end: with contiguous batches from index 0
+	// it equals Σ(end−first), the events the batches cover.
+	end   uint64
+	empty int // batches that carried no transfer
+	bad   string
 }
 
 func (s *ctlSink) ConsumeBatch([]trace.Event) {
 	panic("full-plane delivery to a control-only sink")
 }
 
-func (s *ctlSink) ConsumeCtlBatch(evs []trace.CtlEvent, ctl []int32) {
-	base := len(s.events)
-	s.events = append(s.events, evs...)
-	for _, i := range ctl {
-		s.ctl = append(s.ctl, base+int(i))
+func (s *ctlSink) ConsumeCtlBatch(xs []trace.CtlEvent, first, end uint64) {
+	if len(xs) == 0 {
+		s.empty++
 	}
+	if s.bad == "" && (first != s.end || end <= first) {
+		s.bad = fmt.Sprintf("batch [%d, %d) after a batch ending at %d", first, end, s.end)
+	}
+	for _, x := range xs {
+		out := x.Index < first || x.Index >= end || !x.Instr.Kind.EndsRun()
+		if n := len(s.xs); n > 0 && x.Index <= s.xs[n-1].Index {
+			out = true
+		}
+		if s.bad == "" && out {
+			s.bad = fmt.Sprintf("batch [%d, %d) carries %+v", first, end, x)
+		}
+		s.xs = append(s.xs, x)
+	}
+	s.end = end
 }
 
-// TestReplayCtlEventIdentical: the control-plane replay path must yield
-// exactly the control facet of the full decode — every field of every
-// event, plus the run-boundary indices — over a multi-block recording
-// and at a budget that cuts mid-block. This is the lazy-materialization
-// differential: decodeEventsCtl walks only the header plane, advancing
-// the value-plane cursor arithmetically, and any drift in that cursor
-// corrupts the PC chain this test checks event by event.
-func TestReplayCtlEventIdentical(t *testing.T) {
-	u := buildArchUnit(t, "ctlid")
+// transfers projects a full event stream onto the control plane.
+func transfers(evs []trace.Event) []trace.CtlEvent {
+	var out []trace.CtlEvent
+	for _, ev := range evs {
+		if ev.Instr.Kind.EndsRun() {
+			out = append(out, trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
+				Taken: ev.Taken, Target: ev.Target})
+		}
+	}
+	return out
+}
+
+// checkCtlReplay replays r at budget on the control plane and asserts
+// well-formed batches covering exactly the events a full replay of the
+// same budget delivers, carrying exactly its transfers.
+func checkCtlReplay(t *testing.T, what string, r *Recording, budget uint64) *ctlSink {
+	t.Helper()
+	full := &trace.Recorder{}
+	fn, fh, err := r.Replay(budget, nil, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &ctlSink{}
+	n, halted, err := r.Replay(budget, nil, cs)
+	if err != nil || n != fn || halted != fh {
+		t.Fatalf("%s: ctl replay n=%d halted=%v err=%v, full n=%d halted=%v", what, n, halted, err, fn, fh)
+	}
+	if cs.bad != "" {
+		t.Fatalf("%s: %s", what, cs.bad)
+	}
+	if cs.end != n {
+		t.Fatalf("%s: batches cover %d events, %d replayed", what, cs.end, n)
+	}
+	want := transfers(full.Events)
+	if len(cs.xs) != len(want) {
+		t.Fatalf("%s: %d transfers, full decode has %d", what, len(cs.xs), len(want))
+	}
+	for i := range want {
+		if cs.xs[i] != want[i] {
+			t.Fatalf("%s: transfer %d differs:\nctl  %+v\nfull %+v", what, i, cs.xs[i], want[i])
+		}
+	}
+	return cs
+}
+
+// buildCallUnit is buildArchUnit with subroutines: nested loops whose
+// body calls a function that loops over calls to a leaf, so the shadow
+// call stack the control-plane walk keeps runs across block boundaries.
+func buildCallUnit(t testing.TB) *builder.Unit {
+	t.Helper()
+	b := builder.New("calls", 5)
+	trip := b.UniformSeq(1, 5)
+	leaf := b.Func("leaf", func() { b.Work(3) })
+	mid := b.Func("mid", func() {
+		b.CountedLoop(builder.TripSeq(trip), builder.LoopOpt{}, func() { b.Call(leaf) })
+	})
+	b.MovI(24, builder.HeapBase)
+	b.CountedLoop(builder.TripImm(1500), builder.LoopOpt{}, func() {
+		b.WorkMem(6, 24, 8)
+		b.Call(mid)
+	})
+	u, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// recordUnit records a unit at budget into a fresh archive.
+func recordUnit(t *testing.T, name string, prog *program.Program, cpu *interp.CPU, budget uint64) *Recording {
+	t.Helper()
 	a, err := OpenArchive(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := a.BeginRecord("ctlid", 1, u.Prog)
+	rec, err := a.BeginRecord(name, 1, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu := u.NewCPU()
-	if _, err := cpu.Run(120_000, rec); err != nil {
+	if _, err := cpu.Run(budget, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Commit(cpu.Halted()); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := a.Lookup("ctlid", 1)
+	r, ok := a.Lookup(name, 1)
 	if !ok {
 		t.Fatal("recording not installed")
 	}
-	if len(r.blocks) < 2 {
-		t.Fatalf("want a multi-block recording, got %d block(s)", len(r.blocks))
-	}
+	return r
+}
 
-	full := &trace.Recorder{}
-	if _, _, err := r.Replay(0, nil, full); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]trace.CtlEvent, len(full.Events))
-	var wantCtl []int
-	for i, ev := range full.Events {
-		want[i] = trace.CtlEvent{Index: ev.Index, PC: ev.PC, Instr: ev.Instr,
-			Taken: ev.Taken, Target: ev.Target}
-		switch ev.Instr.Kind {
-		case isa.KindBranch, isa.KindJump, isa.KindRet:
-			wantCtl = append(wantCtl, i)
+// TestReplayCtlEventIdentical: the control-plane replay path must
+// deliver exactly the transfers of the full decode, over batches that
+// tile the replayed events — over multi-block recordings with and
+// without calls, and at budgets that cut mid-block. This is the
+// lazy-materialization differential: the walk hops straight-line runs
+// without reading their header bytes and takes ret targets from its
+// shadow call stack, and any drift corrupts the PC chain this test
+// checks transfer by transfer.
+func TestReplayCtlEventIdentical(t *testing.T) {
+	u := buildArchUnit(t, "ctlid")
+	cu := buildCallUnit(t)
+	for _, r := range []*Recording{
+		recordUnit(t, "ctlid", u.Prog, u.NewCPU(), 120_000),
+		recordUnit(t, "calls", cu.Prog, cu.NewCPU(), 0),
+	} {
+		if len(r.blocks) < 2 {
+			t.Fatalf("%s: want a multi-block recording, got %d block(s)", r.bench, len(r.blocks))
+		}
+		checkCtlReplay(t, r.bench, r, 0)
+		// A budget cutting into the middle of a block yields the exact prefix.
+		checkCtlReplay(t, r.bench+" prefix", r, r.events/2+13)
+
+		// ForceFullPlane pushes the same consumer stack back onto the full
+		// decoder; the hash must not care which plane delivered.
+		h1, h2 := trace.NewHash(), trace.NewHash()
+		if _, _, err := r.Replay(0, nil, h1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.Replay(0, nil, trace.ForceFullPlane(h2)); err != nil {
+			t.Fatal(err)
+		}
+		if h1.Sum != h2.Sum {
+			t.Fatalf("%s: ctl hash %x != forced-full hash %x", r.bench, h1.Sum, h2.Sum)
 		}
 	}
+}
 
-	cs := &ctlSink{}
-	n, halted, err := r.Replay(0, nil, cs)
-	if err != nil || n != uint64(len(want)) || halted != r.halted {
-		t.Fatalf("ctl replay: n=%d halted=%v err=%v", n, halted, err)
+// TestReplayCtlSparseEdges pins the edges of the control-plane walk: a
+// recording with no transfer replays as batches carrying none, a budget
+// that ends inside a straight-line run closes its batch there, and a
+// straight-line run longer than evTmpl.run's uint16 range is hopped in
+// saturated steps without losing count.
+func TestReplayCtlSparseEdges(t *testing.T) {
+	record := func(name string, code ...isa.Instr) *Recording {
+		p := &program.Program{Name: name, Code: code}
+		return recordUnit(t, name, p, interp.New(p), 0)
 	}
-	if len(cs.events) != len(want) {
-		t.Fatalf("ctl replay decoded %d events, want %d", len(cs.events), len(want))
+
+	flat := record("flat", isa.MovI(1, 3), isa.AddI(1, 1, 1), isa.Nop(), isa.Halt())
+	if cs := checkCtlReplay(t, "flat", flat, 0); cs.empty != 1 || len(cs.xs) != 0 {
+		t.Fatalf("flat: %d empty batches, %d transfers; want 1, 0", cs.empty, len(cs.xs))
 	}
-	for i := range want {
-		if cs.events[i] != want[i] {
-			t.Fatalf("event %d differs:\nctl  %+v\nfull %+v", i, cs.events[i], want[i])
+
+	code := []isa.Instr{isa.MovI(1, 2)}
+	for len(code) < 70_001 {
+		code = append(code, isa.Nop())
+	}
+	code = append(code, isa.AddI(1, 1, -1), isa.Branch(isa.CondNEZ, 1, 1), isa.Halt())
+	long := record("long", code...)
+	if run := long.tmpls[1].run; run != 65535 {
+		t.Fatalf("run length at pc 1 = %d, want the saturated 65535", run)
+	}
+	if run := long.tmpls[1+65535].run; run != 70_001-65535 {
+		t.Fatalf("run length after the saturated hop = %d, want %d", run, 70_001-65535)
+	}
+	// Budgets: the whole stream; inside the first run, before the
+	// saturation point and past it; inside the second trip's run.
+	for _, budget := range []uint64{0, 100, 65_600, 70_010, 100_000} {
+		cs := checkCtlReplay(t, fmt.Sprintf("long budget=%d", budget), long, budget)
+		if budget != 0 && budget < 70_002 && cs.empty == 0 {
+			t.Fatalf("long budget=%d: a cut before the first transfer must end in a batch without one", budget)
 		}
-	}
-	if !reflect.DeepEqual(cs.ctl, wantCtl) {
-		t.Fatalf("ctl indices differ: got %d entries, want %d", len(cs.ctl), len(wantCtl))
-	}
-
-	// A budget cutting into the middle of a block yields the exact prefix.
-	cut := uint64(len(want))/2 + 13
-	ps := &ctlSink{}
-	if n, _, err := r.Replay(cut, nil, ps); err != nil || n != cut {
-		t.Fatalf("prefix ctl replay: n=%d err=%v", n, err)
-	}
-	if !reflect.DeepEqual(ps.events, want[:cut]) {
-		t.Fatal("prefix ctl replay differs from full-decode prefix")
-	}
-
-	// ForceFullPlane pushes the same consumer stack back onto the full
-	// decoder; the hash must not care which plane delivered.
-	h1, h2 := trace.NewHash(), trace.NewHash()
-	if _, _, err := r.Replay(0, nil, h1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Replay(0, nil, trace.ForceFullPlane(h2)); err != nil {
-		t.Fatal(err)
-	}
-	if h1.Sum != h2.Sum {
-		t.Fatalf("ctl hash %x != forced-full hash %x", h1.Sum, h2.Sum)
 	}
 }
 
@@ -125,6 +229,8 @@ func TestReplayCtlZeroAllocs(t *testing.T) {
 	if !ok {
 		t.Fatal("recording not found")
 	}
+	cu := buildCallUnit(t)
+	calls := recordUnit(t, "calls", cu.Prog, cu.NewCPU(), 0)
 	d := &Decoder{}
 	h := trace.NewHash()
 	fh := trace.ForceFullPlane(trace.NewHash())
@@ -134,6 +240,11 @@ func TestReplayCtlZeroAllocs(t *testing.T) {
 	}{
 		{"ctl", func() {
 			if _, _, err := rec.Replay(0, d, h); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ctl-calls", func() {
+			if _, _, err := calls.Replay(0, d, h); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -147,5 +258,48 @@ func TestReplayCtlZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, leg.run); allocs != 0 {
 			t.Fatalf("%s replay hot loop allocates %v per run, want 0", leg.name, allocs)
 		}
+	}
+}
+
+// TestReplayIgnoresNonControlTakenBit: the taken bit means something
+// only on control instructions. The control-plane walk never reads the
+// header byte of a straight-line instruction, so the full decoder must
+// not act on it either: a recording whose nop header has bit 0 set
+// (block CRC recomputed) still validates and replays the same transfers
+// on both planes.
+func TestReplayIgnoresNonControlTakenBit(t *testing.T) {
+	p := &program.Program{Name: "nopbit", Code: []isa.Instr{
+		isa.MovI(1, 2),                // 0
+		isa.Nop(),                     // 1: loop head
+		isa.AddI(1, 1, -1),            // 2
+		isa.Branch(isa.CondNEZ, 1, 1), // 3
+		isa.Halt(),                    // 4
+	}}
+	r := recordUnit(t, "nopbit", p, interp.New(p), 0)
+	data := make([]byte, r.size)
+	if _, err := r.src.ReadAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := r.blocks[0]
+	payload := data[b.off : b.off+int64(b.size)]
+	if payload[1] != 0 { // event 1 is the nop; headers come first
+		t.Fatalf("nop header = %#x, want 0", payload[1])
+	}
+	payload[1] = 1
+	binary.LittleEndian.PutUint32(data[b.off-4:], crc32.ChecksumIEEE(payload))
+	bad, tornAt, err := parseArchive(bytes.NewReader(data), int64(len(data)))
+	if err != nil || tornAt >= 0 {
+		t.Fatalf("parse: torn at %d, %v", tornAt, err)
+	}
+	checkCtlReplay(t, "nopbit", bad, 0)
+	want, got := &trace.Recorder{}, &trace.Recorder{}
+	if _, _, err := r.Replay(0, nil, want); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := bad.Replay(0, nil, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Events, want.Events) {
+		t.Fatal("a taken bit on a nop changed the full decode")
 	}
 }

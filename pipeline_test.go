@@ -62,9 +62,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestCtlSteadyStateZeroAllocs pins the control-plane hot path the same
-// way: an observer-free detector negotiates compact CtlEvent delivery
-// (trace.PlanesOf == PlaneCtl), and once the ctl batch buffer is warm,
-// retiring instructions through it must not allocate at all.
+// way: an observer-free detector negotiates sparse control-plane
+// delivery (trace.PlanesOf == PlaneCtl), and once the ctl batch buffer
+// is warm, retiring instructions through it must not allocate at all.
 func TestCtlSteadyStateZeroAllocs(t *testing.T) {
 	p := &program.Program{Name: "steady-ctl", Code: []isa.Instr{
 		isa.MovI(1, 1<<40),
