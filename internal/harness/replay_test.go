@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dynloop/internal/builder"
+	"dynloop/internal/isa"
 	"dynloop/internal/loopdet"
 	"dynloop/internal/loopstats"
 	"dynloop/internal/trace"
@@ -184,10 +185,13 @@ func TestTracesLongerBudgetReRecords(t *testing.T) {
 	}
 }
 
-// TestTracesCorruptionAfterOpenReRecords: a block damaged on disk after
-// the archive loaded it fails the replay with ErrCorrupt. The tier then
-// drops the recording, and the next MultiRun interprets and re-records
-// it, with pass output equal to plain interpretation.
+// TestTracesCorruptionAfterOpenReRecords: a block section damaged on
+// disk after the archive loaded it fails a replay that reads it with
+// ErrCorrupt. Each plane reads its own section — control-plane passes
+// the branch bits, full-plane passes the payload — so damage to one
+// leaves the other plane's replay exact. The tier drops the recording
+// after the failed replay, and the next MultiRun interprets and
+// re-records it, with pass output equal to plain interpretation.
 func TestTracesCorruptionAfterOpenReRecords(t *testing.T) {
 	passes := func() (*trace.Hash, *loopdet.Detector, *loopstats.Collector) {
 		var h trace.Hash
@@ -195,9 +199,16 @@ func TestTracesCorruptionAfterOpenReRecords(t *testing.T) {
 		return &h, NewObserverPass(0, stats), stats
 	}
 	refHash, refDet, refStats := passes()
-	ref, err := MultiRun(unit(t), MultiConfig{}, trace.AsPass(refHash), refDet)
+	refEvents := &trace.Recorder{}
+	ref, err := MultiRun(unit(t), MultiConfig{}, trace.AsPass(refHash), refDet, trace.AsPass(refEvents))
 	if err != nil {
 		t.Fatal(err)
+	}
+	branches := 0
+	for _, ev := range refEvents.Events {
+		if ev.Instr.Kind == isa.KindBranch {
+			branches++
+		}
 	}
 
 	dir := t.TempDir()
@@ -210,64 +221,87 @@ func TestTracesCorruptionAfterOpenReRecords(t *testing.T) {
 	if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}); err != nil || replayed {
 		t.Fatalf("cold run: replayed=%v err=%v, want a recording", replayed, err)
 	}
-	rec, ok := a.Lookup("h", 1)
-	if !ok {
-		t.Fatal("recording not installed")
-	}
 	names, err := filepath.Glob(filepath.Join(dir, "*.dltrace"))
 	if err != nil || len(names) != 1 {
 		t.Fatalf("want one archive file, got %v (%v)", names, err)
 	}
-	// Flip the last field byte of the last block, which sits before the
-	// block's 8 zero pad bytes and the trailer (tag, uvarint event
-	// count, halted byte).
-	var vb [binary.MaxVarintLen64]byte
-	off := rec.Size() - int64(2+binary.PutUvarint(vb[:], rec.Events())) - 8 - 1
-	f, err := os.OpenFile(names[0], os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x40
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	if _, _, err := rec.Replay(0, nil, trace.NewHash()); !errors.Is(err, tracefile.ErrCorrupt) {
-		t.Fatalf("Replay of the damaged recording: err = %v, want ErrCorrupt", err)
-	}
-	if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}); !replayed || !errors.Is(err, tracefile.ErrCorrupt) {
-		t.Fatalf("MultiRun over the damaged recording: replayed=%v err=%v, want a failed replay", replayed, err)
-	}
-	if _, ok := a.Lookup("h", 1); ok {
-		t.Fatal("damaged recording still served after the failed replay")
-	}
+	// The recording is one block. Its branch-bit section (one bit per
+	// branch) ends the block, just before the trailer (tag, uvarint
+	// event count, halted byte); the payload's last field byte sits
+	// before the section and the payload's 8 zero pad bytes.
+	bitsSize := int64(branches+7) / 8
+	for _, leg := range []struct {
+		name string
+		// back is the damaged byte's distance before the trailer.
+		back int64
+		// pass is a pass on the plane that reads the damaged byte;
+		// other is one on the plane that does not.
+		pass, other func(*trace.Hash) trace.Pass
+	}{
+		{"branch bits", 1, ctlPass, fullPass},
+		{"payload", bitsSize + 8 + 1, fullPass, ctlPass},
+	} {
+		rec, ok := a.Lookup("h", 1)
+		if !ok || rec.Blocks() != 1 {
+			t.Fatalf("%s: want an installed one-block recording (ok=%v)", leg.name, ok)
+		}
+		var vb [binary.MaxVarintLen64]byte
+		off := rec.Size() - int64(2+binary.PutUvarint(vb[:], rec.Events())) - leg.back
+		f, err := os.OpenFile(names[0], os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x40
+		if _, err := f.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	before := Traversals()
-	h, det, stats := passes()
-	res, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, trace.AsPass(h), det)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed || Traversals()-before != 1 {
-		t.Fatalf("run after invalidation: replayed=%v, %d traversals; want a re-record", replayed, Traversals()-before)
-	}
-	if res.Executed != ref.Executed || res.Halted != ref.Halted || h.Sum != refHash.Sum {
-		t.Fatalf("re-record run: %+v hash %x, want %+v hash %x", res, h.Sum, ref, refHash.Sum)
-	}
-	if stats.Summary() != refStats.Summary() || det.Stats() != refDet.Stats() {
-		t.Fatalf("re-record run's loop passes differ from interpretation:\n%+v %+v\n%+v %+v",
-			stats.Summary(), det.Stats(), refStats.Summary(), refDet.Stats())
-	}
-	// The fresh recording replays cleanly.
-	var h2 trace.Hash
-	if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, trace.AsPass(&h2)); err != nil || !replayed || h2.Sum != refHash.Sum {
-		t.Fatalf("replay of the re-recording: replayed=%v err=%v hash %x, want %x", replayed, err, h2.Sum, refHash.Sum)
+		var other trace.Hash
+		if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, leg.other(&other)); err != nil || !replayed || other.Sum != refHash.Sum {
+			t.Fatalf("%s: the plane that does not read the damage: replayed=%v err=%v hash %x, want %x", leg.name, replayed, err, other.Sum, refHash.Sum)
+		}
+		var h trace.Hash
+		if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, leg.pass(&h)); !replayed || !errors.Is(err, tracefile.ErrCorrupt) {
+			t.Fatalf("%s: MultiRun over the damaged recording: replayed=%v err=%v, want a failed replay", leg.name, replayed, err)
+		}
+		if _, ok := a.Lookup("h", 1); ok {
+			t.Fatalf("%s: damaged recording still served after the failed replay", leg.name)
+		}
+
+		before := Traversals()
+		h2, det, stats := passes()
+		res, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, leg.pass(h2), det)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed || Traversals()-before != 1 {
+			t.Fatalf("%s: run after invalidation: replayed=%v, %d traversals; want a re-record", leg.name, replayed, Traversals()-before)
+		}
+		if res.Executed != ref.Executed || res.Halted != ref.Halted || h2.Sum != refHash.Sum {
+			t.Fatalf("%s: re-record run: %+v hash %x, want %+v hash %x", leg.name, res, h2.Sum, ref, refHash.Sum)
+		}
+		if stats.Summary() != refStats.Summary() || det.Stats() != refDet.Stats() {
+			t.Fatalf("%s: re-record run's loop passes differ from interpretation:\n%+v %+v\n%+v %+v",
+				leg.name, stats.Summary(), det.Stats(), refStats.Summary(), refDet.Stats())
+		}
+		// The fresh recording replays cleanly on both planes.
+		for _, p := range []func(*trace.Hash) trace.Pass{ctlPass, fullPass} {
+			var h3 trace.Hash
+			if _, replayed, err := tr.MultiRun(ctx, "h", 1, buildUnit(t), MultiConfig{}, p(&h3)); err != nil || !replayed || h3.Sum != refHash.Sum {
+				t.Fatalf("%s: replay of the re-recording: replayed=%v err=%v hash %x, want %x", leg.name, replayed, err, h3.Sum, refHash.Sum)
+			}
+		}
 	}
 }
+
+// ctlPass and fullPass run h on the control plane and on the full plane.
+func ctlPass(h *trace.Hash) trace.Pass  { return trace.AsPass(h) }
+func fullPass(h *trace.Hash) trace.Pass { return trace.AsPass(trace.ForceFullPlane(h)) }

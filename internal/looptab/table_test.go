@@ -82,9 +82,11 @@ func TestTableOnEvict(t *testing.T) {
 }
 
 // refLRU is an independent reference model for the property test.
+// cap 0 means unbounded.
 type refLRU struct {
-	cap   int
-	order []isa.Addr // front = MRU
+	cap       int
+	order     []isa.Addr // front = MRU
+	evictions uint64
 }
 
 func (r *refLRU) has(k isa.Addr) bool {
@@ -111,54 +113,106 @@ func (r *refLRU) insert(k isa.Addr) {
 		r.touch(k)
 		return
 	}
-	if len(r.order) >= r.cap {
+	if r.cap > 0 && len(r.order) >= r.cap {
 		r.order = r.order[:len(r.order)-1]
+		r.evictions++
 	}
 	r.order = append([]isa.Addr{k}, r.order...)
 }
 
-// TestTableQuickVsReference drives random operation sequences through the
-// table and the reference model and compares residency.
-func TestTableQuickVsReference(t *testing.T) {
-	f := func(ops []uint16) bool {
-		tb := NewTable[int](4)
-		ref := &refLRU{cap: 4}
-		for _, op := range ops {
-			k := isa.Addr(op % 8)
-			switch (op / 8) % 2 {
-			case 0:
-				tb.Insert(k)
-				ref.insert(k)
-			case 1:
-				got := tb.Touch(k) != nil
-				want := ref.has(k)
-				if got != want {
-					return false
-				}
-				ref.touch(k)
-			}
-			if tb.Len() != len(ref.order) {
-				return false
-			}
-			for _, k := range ref.order {
-				if tb.Get(k) == nil {
-					return false
-				}
-			}
+func (r *refLRU) remove(k isa.Addr) {
+	for i, x := range r.order {
+		if x == k {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			return
 		}
-		// MRU->LRU order must match exactly.
-		keys := tb.Keys()
-		if len(keys) != len(ref.order) {
-			return false
-		}
-		for i := range keys {
-			if keys[i] != ref.order[i] {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+}
+
+// TestTableQuickVsReference drives random operation sequences through the
+// table and the reference model and compares residency, values, victims,
+// the arena size and the final MRU→LRU order. The cases cover a small
+// bounded table, an unbounded one, sparse keys up to 1<<16 (31×2111, so
+// the key index grows several times) and Remove mixed with inserts (so
+// freed slots are reused while the LRU list stays linked).
+func TestTableQuickVsReference(t *testing.T) {
+	cases := []struct {
+		name   string
+		cap    int
+		keys   uint32 // keys are k*stride for k in [0, keys)
+		stride uint32
+		remove bool
+	}{
+		{"bounded", 4, 8, 1, false},
+		{"unbounded", 0, 64, 1, false},
+		{"sparse", 16, 32, 2111, false},
+		{"sparse-unbounded", 0, 32, 2111, true},
+		{"remove", 4, 8, 1, true},
+		{"remove-wide", 32, 256, 1, true},
+	}
+	for _, c := range cases {
+		f := func(ops []uint32) bool {
+			tb := NewTable[uint32](c.cap)
+			ref := &refLRU{cap: c.cap}
+			vals := map[isa.Addr]uint32{}
+			peak := 0 // the most entries ever resident at once
+			for _, op := range ops {
+				k := isa.Addr(op % c.keys * c.stride)
+				kinds := uint32(2)
+				if c.remove {
+					kinds = 3
+				}
+				switch op / c.keys % kinds {
+				case 0:
+					if ref.cap > 0 && len(ref.order) >= ref.cap && !ref.has(k) {
+						vk, _, ok := tb.Victim()
+						if !ok || vk != ref.order[len(ref.order)-1] {
+							return false
+						}
+						delete(vals, vk)
+					}
+					*tb.Insert(k) = op
+					ref.insert(k)
+					vals[k] = op
+				case 1:
+					got := tb.Touch(k) != nil
+					want := ref.has(k)
+					if got != want {
+						return false
+					}
+					ref.touch(k)
+				case 2:
+					tb.Remove(k)
+					ref.remove(k)
+					delete(vals, k)
+				}
+				if tb.Len() != len(ref.order) || tb.Evictions() != ref.evictions {
+					return false
+				}
+				// Freed slots are reused before the arena grows.
+				if peak = max(peak, len(ref.order)); len(tb.nodes) != peak {
+					return false
+				}
+				for _, k := range ref.order {
+					if v := tb.Get(k); v == nil || *v != vals[k] {
+						return false
+					}
+				}
+			}
+			// MRU->LRU order must match exactly.
+			keys := tb.Keys()
+			if len(keys) != len(ref.order) {
+				return false
+			}
+			for i := range keys {
+				if keys[i] != ref.order[i] {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 	}
 }

@@ -102,9 +102,10 @@ func TestMapWritesBackAndHitsDiskTier(t *testing.T) {
 func TestMapGroupsHitsDiskTierPerCell(t *testing.T) {
 	c := newFakeCache()
 	ctx := context.Background()
-	exec := func(mul int, execs *int) func(context.Context, string, []int) ([]int, error) {
+	// Groups run on two workers, so the exec counter is atomic.
+	exec := func(mul int, execs *atomic.Int64) func(context.Context, string, []int) ([]int, error) {
 		return func(_ context.Context, _ string, idx []int) ([]int, error) {
-			*execs++
+			execs.Add(1)
 			out := make([]int, len(idx))
 			for j, i := range idx {
 				out[j] = mul * (i + 1)
@@ -118,14 +119,14 @@ func TestMapGroupsHitsDiskTierPerCell(t *testing.T) {
 		{Key: "c", Group: "g2"},
 	}
 
-	var execs int
+	var execs atomic.Int64
 	r1 := New(Config{Workers: 2, Cache: c})
 	out, err := MapGroups(ctx, r1, jobs, exec(10, &execs))
 	if err != nil || out[0] != 10 || out[1] != 20 || out[2] != 30 {
 		t.Fatalf("first run: %v %v", out, err)
 	}
-	if execs != 2 {
-		t.Fatalf("group execs = %d, want 2", execs)
+	if execs.Load() != 2 {
+		t.Fatalf("group execs = %d, want 2", execs.Load())
 	}
 	if s := r1.Stats(); s.DiskPuts != 3 {
 		t.Fatalf("first-run stats = %+v", s)
@@ -136,14 +137,14 @@ func TestMapGroupsHitsDiskTierPerCell(t *testing.T) {
 	c.mu.Lock()
 	delete(c.m, "b")
 	c.mu.Unlock()
-	execs = 0
+	execs.Store(0)
 	r2 := New(Config{Workers: 2, Cache: c})
 	out, err = MapGroups(ctx, r2, jobs, exec(10, &execs))
 	if err != nil || out[0] != 10 || out[1] != 20 || out[2] != 30 {
 		t.Fatalf("second run: %v %v", out, err)
 	}
-	if execs != 1 {
-		t.Fatalf("warm group execs = %d, want 1", execs)
+	if execs.Load() != 1 {
+		t.Fatalf("warm group execs = %d, want 1", execs.Load())
 	}
 	if s := r2.Stats(); s.DiskHits != 2 || s.Executed != 1 {
 		t.Fatalf("second-run stats = %+v", s)

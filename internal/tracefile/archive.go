@@ -22,12 +22,17 @@ package tracefile
 //	program  image (see appendProgram in codec.go)
 //	blocks:  tag 0xFE, uvarint event count, uvarint payload length,
 //	         uvarint start pc (the pc of the block's first event),
-//	         4-byte little-endian CRC32 (IEEE) of the payload, then
+//	         uvarint branch count (conditional branches in the block),
+//	         4-byte little-endian CRC32 (IEEE) of the branch-bit
+//	         section, 4-byte CRC32 of the payload, then
 //	         the payload: the template-driven packed event records
 //	         (see codec.go) as two planes — one header byte per event,
 //	         then the field bytes in event order — sealed with 8 zero
 //	         pad bytes so the decoder's unconditional 8-byte field
-//	         loads stay in bounds
+//	         loads stay in bounds; then
+//	         the branch-bit section: one taken bit per conditional
+//	         branch, in stream order, packed LSB-first into
+//	         ⌈branch count/8⌉ bytes, unused high bits zero
 //	trailer: tag 0xFF, uvarint total event count,
 //	         1 byte halted flag (1 = the program halted at that count)
 //
@@ -41,15 +46,19 @@ package tracefile
 // lookup misses, and the caller falls back to interpretation and
 // re-records over it.
 //
-// Block payloads never stay in memory. Open and Commit stream each file
-// through a block-sized buffer, CRC-check and fully decode every block,
-// and keep only a block index (offset, size, CRC, event count, start
-// pc) plus the open file handle. Replay reads each block back into its
-// Decoder's buffer and re-checks the CRC before decoding, so damage that
-// appears after load (a bit flip on disk, a failing device) makes Replay
-// return an error wrapping ErrCorrupt rather than deliver wrong events;
-// the caller drops the recording with Invalidate and re-records it.
-// Replay stays allocation-free with a warmed Decoder.
+// Block payloads and branch bits never stay in memory. Open and Commit
+// stream each file through a block-sized buffer, check both CRCs of
+// every block, fully decode its payload and check its branch bits
+// against the decoded outcomes, and keep only a block index (offset,
+// size and CRC of each section, event count, start pc) plus the open
+// file handle. Replay reads back only the section its plane needs — the
+// payload for full events, the branch-bit section for the control
+// plane — into its Decoder's buffer and re-checks that section's CRC
+// before use, so damage that appears after load (a bit flip on disk, a
+// failing device) makes a replay that reads the damaged bytes return an
+// error wrapping ErrCorrupt rather than deliver wrong events; the
+// caller drops the recording with Invalidate and re-records it. Replay
+// stays allocation-free with a warmed Decoder.
 //
 // Files are immutable once renamed into place: a re-record installs a
 // new inode and never changes bytes under a live reader. A recording's
@@ -72,6 +81,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dynloop/internal/isa"
 	"dynloop/internal/program"
 	"dynloop/internal/trace"
 )
@@ -102,9 +112,10 @@ var ErrCorrupt = errors.New("tracefile: corrupt or truncated trace")
 // other version (a clean miss, never a stale replay). It is a var so
 // tests can prove the bump-misses-archive property.
 // Version 2 switched block payloads to the template-driven record
-// format (see codec.go): version-1 files are skipped at Open and
-// re-recorded on the next miss.
-var ArchiveSchemaVersion uint64 = 2
+// format (see codec.go); version 3 added each block's branch-bit
+// section. Files of older versions are skipped at Open and re-recorded
+// on the next miss.
+var ArchiveSchemaVersion uint64 = 3
 
 // errInvalid marks a recording whose framing parsed but whose block
 // contents are damaged (CRC mismatch or undecodable records). The file
@@ -122,14 +133,18 @@ type archKey struct {
 }
 
 // blockRef indexes one validated block of a loaded recording: where its
-// payload lies in the file, the payload's CRC, the event count and the
-// pc of the block's first event (the decoder's pc-chain seed).
+// payload and its branch-bit section lie in the file, their sizes and
+// CRCs, the event count and the pc of the block's first event (the
+// decoder's pc-chain seed).
 type blockRef struct {
-	off     int64
-	size    uint32
-	crc     uint32
-	count   uint64
-	startPC uint64
+	off      int64
+	size     uint32
+	crc      uint32
+	bitsOff  int64
+	bitsSize uint32
+	bitsCRC  uint32
+	count    uint64
+	startPC  uint64
 }
 
 // Recording is one validated (benchmark, seed) trace, ready for
@@ -150,10 +165,11 @@ type Recording struct {
 	// Recording it always equals that — kept per recording so listings
 	// state it explicitly rather than inferring it.
 	version uint64
-	// maxBlock is the largest block payload in bytes, the block buffer
-	// size a Decoder needs.
-	maxBlock int
-	size     int64
+	// maxBlock and maxBits are the largest block payload and branch-bit
+	// section in bytes: the buffer sizes a Decoder needs for full and
+	// control-plane replay.
+	maxBlock, maxBits int
+	size              int64
 	// tmpls is the per-pc decode-template table (see buildTmpls), built
 	// once at parse.
 	tmpls []evTmpl
@@ -186,9 +202,9 @@ func (r *Recording) Blocks() int { return len(r.blocks) }
 func (r *Recording) SchemaVersion() uint64 { return r.version }
 
 // Planes returns the event facets replaying the recording can deliver.
-// The packed v2 block format carries the header and field planes
-// separately, so every loaded recording serves both control-plane-only
-// and full-event sinks.
+// Every block carries a payload (header and field planes) for full
+// events and a branch-bit section for the control plane, so every
+// loaded recording serves both control-plane-only and full-event sinks.
 func (r *Recording) Planes() trace.Planes { return trace.PlaneCtl | trace.PlaneData }
 
 // CanServe reports whether replaying the recording reproduces an
@@ -208,9 +224,11 @@ const decodeBatch = 1024
 
 // Decoder holds the reusable block and event buffers for Replay. The
 // zero value is ready to use; the first Replay warms it and subsequent
-// replays do not allocate. Full-plane and control-plane replays use
-// separate buffers, so a decoder serving only control-plane sinks never
-// allocates the full-event buffer.
+// replays do not allocate. The block buffer grows to the largest section
+// a replay reads — a payload on the full plane, a branch-bit section on
+// the control plane — and the event buffers are per plane, so a decoder
+// serving only control-plane sinks never allocates the full-event
+// buffer or a payload-sized block buffer.
 type Decoder struct {
 	blk  []byte
 	evs  []trace.Event
@@ -225,18 +243,18 @@ type Decoder struct {
 // interpreted run's result. The batch buffer is reused between blocks;
 // consumers must copy what they keep.
 //
-// Each block is read from the recording's file into the decoder's block
-// buffer and its CRC re-checked before it is decoded. A read error or a
-// CRC mismatch — the file was damaged after load — returns an error
-// wrapping ErrCorrupt, with the events before the damaged block already
-// delivered; the recording must then be dropped (Archive.Invalidate)
-// and re-recorded.
+// Each block section the replay needs is read from the recording's file
+// into the decoder's block buffer and its CRC re-checked before use. A
+// read error or a CRC mismatch — the file was damaged after load —
+// returns an error wrapping ErrCorrupt, with the events before the
+// damaged block already delivered; the recording must then be dropped
+// (Archive.Invalidate) and re-recorded.
 //
 // Replay negotiates event facets exactly as the interpreter's Run does:
 // a sink that accepts control-plane batches and needs only the control
-// facet is served by the control-plane walk (ctlWalk), which reads the
-// header bytes of control instructions only and delivers sparse
-// batches of transfers.
+// facet is served by the control-plane walk (ctlWalk), which reads only
+// the blocks' branch-bit sections, never their payloads, and delivers
+// sparse batches of transfers.
 func (r *Recording) Replay(budget uint64, d *Decoder, sink trace.BatchConsumer) (uint64, bool, error) {
 	if d == nil {
 		d = &Decoder{}
@@ -285,7 +303,7 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 		if take == 0 {
 			break
 		}
-		payload, err := r.readBlock(i, d.blk)
+		payload, err := r.read(i, "payload", b.off, b.size, b.crc, d.blk)
 		if err != nil {
 			return n, false, err
 		}
@@ -325,11 +343,12 @@ func (r *Recording) replayFull(budget uint64, d *Decoder, sink trace.BatchConsum
 }
 
 // replayCtl is the control-plane replay loop: the same block structure
-// as replayFull, but each block is walked transfer to transfer by
-// ctlWalk, and the pending batch is flushed at every block end, so a
-// failing block read leaves exactly the preceding blocks delivered.
-// Blocks were full-decode-verified at load and their CRC is re-checked
-// on read, so this path skips the end-of-block revalidation.
+// as replayFull, but only each block's branch-bit section is read, the
+// block is walked transfer to transfer by ctlWalk, and the pending batch
+// is flushed at every block end, so a failing read leaves exactly the
+// preceding blocks delivered. The bits were checked against the full
+// decode at load and their CRC is re-checked on read, so this path
+// skips the end-of-block revalidation.
 func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchConsumer) (uint64, bool, error) {
 	limit := r.events
 	if budget != 0 && budget < limit {
@@ -340,7 +359,7 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 		w.xs = make([]trace.CtlEvent, decodeBatch)
 	}
 	w.k, w.first, w.stack = 0, 0, w.stack[:0]
-	d.growBlk(r.maxBlock)
+	d.growBlk(r.maxBits)
 	var n uint64
 	for i := range r.blocks {
 		b := &r.blocks[i]
@@ -348,11 +367,11 @@ func (r *Recording) replayCtl(budget uint64, d *Decoder, sink trace.CtlBatchCons
 		if take == 0 {
 			break
 		}
-		payload, err := r.readBlock(i, d.blk)
+		bits, err := r.read(i, "branch bits", b.bitsOff, b.bitsSize, b.bitsCRC, d.blk)
 		if err != nil {
 			return n, false, err
 		}
-		if err := w.block(payload[:b.count], b.startPC, n, take, r.tmpls, sink); err != nil {
+		if err := w.block(bits, b.startPC, n, take, r.tmpls, sink); err != nil {
 			return n, false, fmt.Errorf("verified block %d failed to decode: %w", i, err)
 		}
 		n += take
@@ -368,16 +387,15 @@ func (d *Decoder) growBlk(n int) {
 	}
 }
 
-// readBlock reads block i's payload into buf (cap ≥ the payload size)
-// and checks it against the CRC recorded at load.
-func (r *Recording) readBlock(i int, buf []byte) ([]byte, error) {
-	b := &r.blocks[i]
-	p := buf[:b.size]
-	if n, err := r.src.ReadAt(p, b.off); n < len(p) {
-		return nil, fmt.Errorf("%w: reading block %d: %v", ErrCorrupt, i, err)
+// read reads the size bytes of block i's section what at off into buf
+// (cap ≥ size) and checks them against the CRC recorded at load.
+func (r *Recording) read(i int, what string, off int64, size, crc uint32, buf []byte) ([]byte, error) {
+	p := buf[:size]
+	if n, err := r.src.ReadAt(p, off); n < len(p) {
+		return nil, fmt.Errorf("%w: reading block %d %s: %v", ErrCorrupt, i, what, err)
 	}
-	if crc32.ChecksumIEEE(p) != b.crc {
-		return nil, fmt.Errorf("%w: block %d CRC mismatch at byte %d", ErrCorrupt, i, b.off)
+	if crc32.ChecksumIEEE(p) != crc {
+		return nil, fmt.Errorf("%w: block %d %s CRC mismatch at byte %d", ErrCorrupt, i, what, off)
 	}
 	return p, nil
 }
@@ -579,10 +597,11 @@ func parseArchive(src io.ReaderAt, size int64) (*Recording, int64, error) {
 }
 
 // parseFrames is parseArchive's walk over the header and frames. Each
-// block is read into one reused block-sized buffer, CRC-checked, fully
-// decoded and its return targets checked against a shadow call stack
-// that runs across the recording's blocks (checkReturns); only its
-// index entry is kept.
+// block is read into one reused block-sized buffer, both its sections
+// CRC-checked, its payload fully decoded, and the decoded control flow
+// checked against its branch bits and a shadow call stack that runs
+// across the recording's blocks (ctlCheck); only its index entry is
+// kept.
 func parseFrames(src io.ReaderAt, size int64) (*Recording, int64, error) {
 	sr := io.NewSectionReader(src, 0, size)
 	br := bufio.NewReader(sr)
@@ -640,7 +659,8 @@ func parseFrames(src io.ReaderAt, size int64) (*Recording, int64, error) {
 		tmpls:   buildTmpls(prog.Code),
 	}
 	var blk []byte
-	var scratch Decoder
+	var evs []trace.Event
+	var check ctlCheck
 	for {
 		frameStart := pos()
 		tag, err := br.ReadByte()
@@ -678,53 +698,67 @@ func parseFrames(src io.ReaderAt, size int64) (*Recording, int64, error) {
 			if err != nil {
 				return rec, frameStart, nil
 			}
+			nbits, err := binary.ReadUvarint(br)
+			if err != nil {
+				return rec, frameStart, nil
+			}
 			// Every event owns one header-plane byte and the field plane
 			// ends with blockPad padding, so size >= count+blockPad; the
-			// decoder's header reads rely on this frame check.
-			if bsize > maxBlockBytes || count == 0 || bsize < blockPad || count > bsize-blockPad {
-				return nil, -1, fmt.Errorf("%w: block header (%d events, %d bytes)", ErrCorrupt, count, bsize)
+			// decoder's header reads rely on this frame check. Each branch
+			// is an event, so nbits <= count.
+			if bsize > maxBlockBytes || count == 0 || bsize < blockPad || count > bsize-blockPad || nbits > count {
+				return nil, -1, fmt.Errorf("%w: block header (%d events, %d bytes, %d branches)", ErrCorrupt, count, bsize, nbits)
 			}
-			if uint64(size-pos()) < 4+bsize {
+			bitsSize := (nbits + 7) / 8
+			frameLen := 8 + bsize + bitsSize
+			if uint64(size-pos()) < frameLen {
 				return rec, frameStart, nil // torn inside the block body
 			}
-			if cap(blk) < 4+int(bsize) {
-				blk = make([]byte, 4+bsize)
+			if uint64(cap(blk)) < frameLen {
+				blk = make([]byte, frameLen)
 			}
-			blk = blk[:4+bsize]
-			off := pos() + 4
+			blk = blk[:frameLen]
+			off := pos() + 8
 			if _, err := io.ReadFull(br, blk); err != nil {
 				return rec, frameStart, nil
 			}
-			crc := binary.LittleEndian.Uint32(blk)
-			payload := blk[4:]
+			bitsCRC := binary.LittleEndian.Uint32(blk)
+			crc := binary.LittleEndian.Uint32(blk[4:])
+			payload, bits := blk[8:8+bsize], blk[8+bsize:]
 			if crc32.ChecksumIEEE(payload) != crc {
 				return nil, -1, fmt.Errorf("%w: block CRC mismatch at byte %d", errInvalid, frameStart)
 			}
-			if scratch.evs == nil {
-				scratch.evs = make([]trace.Event, decodeBatch)
+			if crc32.ChecksumIEEE(bits) != bitsCRC {
+				return nil, -1, fmt.Errorf("%w: branch-bit CRC mismatch at byte %d", errInvalid, frameStart)
 			}
+			if evs == nil {
+				evs = make([]trace.Event, decodeBatch)
+			}
+			check.startBlock(bits, nbits)
 			hpos, vpos, vpc, left := 0, int(count), startPC, count
 			for left > 0 {
-				chunk := left
-				if chunk > decodeBatch {
-					chunk = decodeBatch
-				}
-				evs := scratch.evs[:chunk]
+				chunk := min(left, decodeBatch)
 				var verr error
-				hpos, vpos, vpc, _, verr = decodeEventsPacked(payload, hpos, int(count), vpos, vpc, evs, rec.events+count-left, rec.tmpls, chunk == left, nil)
+				hpos, vpos, vpc, _, verr = decodeEventsPacked(payload, hpos, int(count), vpos, vpc, evs[:chunk], rec.events+count-left, rec.tmpls, chunk == left, nil)
 				if verr == nil {
-					scratch.walk.stack, verr = checkReturns(evs, rec.tmpls, scratch.walk.stack)
+					verr = check.chunk(evs[:chunk], rec.tmpls)
 				}
 				if verr != nil {
 					return nil, -1, fmt.Errorf("%w: %v", errInvalid, verr)
 				}
 				left -= chunk
 			}
-			rec.blocks = append(rec.blocks, blockRef{off: off, size: uint32(bsize), crc: crc, count: count, startPC: startPC})
-			rec.events += count
-			if int(bsize) > rec.maxBlock {
-				rec.maxBlock = int(bsize)
+			if err := check.endBlock(); err != nil {
+				return nil, -1, fmt.Errorf("%w: %v", errInvalid, err)
 			}
+			rec.blocks = append(rec.blocks, blockRef{
+				off: off, size: uint32(bsize), crc: crc,
+				bitsOff: off + int64(bsize), bitsSize: uint32(bitsSize), bitsCRC: bitsCRC,
+				count: count, startPC: startPC,
+			})
+			rec.events += count
+			rec.maxBlock = max(rec.maxBlock, int(bsize))
+			rec.maxBits = max(rec.maxBits, int(bitsSize))
 		default:
 			return nil, -1, fmt.Errorf("%w: unexpected tag %#x at byte %d", ErrCorrupt, tag, frameStart)
 		}
@@ -859,10 +893,13 @@ type Recorder struct {
 	f *os.File
 	w *bufio.Writer
 	// hdr and val are the pending block's header and field planes (see
-	// the packed-format comment in codec.go); flushBlock writes them
-	// back to back under one CRC.
+	// the packed-format comment in codec.go), flushBlock writes them
+	// back to back under one CRC; bits is its branch-bit section, holding
+	// nbits bits.
 	hdr         []byte
 	val         []byte
+	bits        []byte
+	nbits       uint64
 	blockEvents uint64
 	// blockStartPC is the pc of the pending block's first event: the
 	// decoder's pc-chain seed, written into the block frame.
@@ -909,43 +946,39 @@ func (a *Archive) BeginRecord(bench string, seed uint64, prog *program.Program) 
 
 // Consume implements trace.Consumer.
 func (rec *Recorder) Consume(ev *trace.Event) {
-	if rec.err != nil {
-		return
-	}
-	if rec.blockEvents == 0 {
-		rec.blockStartPC = uint64(ev.PC)
-	}
-	rec.hdr, rec.val = appendEventPacked(rec.hdr, rec.val, ev)
-	rec.blockEvents++
-	rec.events++
-	if len(rec.hdr)+len(rec.val) >= blockTarget {
-		rec.flushBlock()
-	}
+	rec.ConsumeBatch([]trace.Event{*ev})
 }
 
 // ConsumeBatch implements trace.BatchConsumer.
 func (rec *Recorder) ConsumeBatch(evs []trace.Event) {
-	if rec.err != nil {
-		return
-	}
 	for i := range evs {
-		if rec.blockEvents == 0 {
-			rec.blockStartPC = uint64(evs[i].PC)
+		if rec.err != nil {
+			return
 		}
-		rec.hdr, rec.val = appendEventPacked(rec.hdr, rec.val, &evs[i])
+		ev := &evs[i]
+		if rec.blockEvents == 0 {
+			rec.blockStartPC = uint64(ev.PC)
+		}
+		rec.hdr, rec.val = appendEventPacked(rec.hdr, rec.val, ev)
+		if ev.Instr.Kind == isa.KindBranch {
+			if rec.nbits&7 == 0 {
+				rec.bits = append(rec.bits, 0)
+			}
+			if ev.Taken {
+				rec.bits[len(rec.bits)-1] |= 1 << (rec.nbits & 7)
+			}
+			rec.nbits++
+		}
 		rec.blockEvents++
+		rec.events++
 		if len(rec.hdr)+len(rec.val) >= blockTarget {
 			rec.flushBlock()
-			if rec.err != nil {
-				return
-			}
 		}
 	}
-	rec.events += uint64(len(evs))
 }
 
-// flushBlock seals the pending block — header plane, field plane, pad —
-// behind its CRC frame.
+// flushBlock seals the pending block — header plane, field plane, pad,
+// then the branch-bit section — behind its CRC frame.
 func (rec *Recorder) flushBlock() {
 	if rec.err != nil || rec.blockEvents == 0 {
 		return
@@ -954,28 +987,24 @@ func (rec *Recorder) flushBlock() {
 	// the payload; the decoder verifies the padding is intact.
 	rec.val = append(rec.val, 0, 0, 0, 0, 0, 0, 0, 0)
 	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, rec.hdr), crc32.IEEETable, rec.val)
-	var frame [1 + 3*binary.MaxVarintLen64 + 4]byte
+	var frame [1 + 4*binary.MaxVarintLen64 + 8]byte
 	frame[0] = tagBlock
 	n := 1
 	n += binary.PutUvarint(frame[n:], rec.blockEvents)
 	n += binary.PutUvarint(frame[n:], uint64(len(rec.hdr)+len(rec.val)))
 	n += binary.PutUvarint(frame[n:], rec.blockStartPC)
-	binary.LittleEndian.PutUint32(frame[n:], crc)
-	n += 4
-	if _, err := rec.w.Write(frame[:n]); err != nil {
-		rec.err = err
-		return
+	n += binary.PutUvarint(frame[n:], rec.nbits)
+	binary.LittleEndian.PutUint32(frame[n:], crc32.ChecksumIEEE(rec.bits))
+	binary.LittleEndian.PutUint32(frame[n+4:], crc)
+	n += 8
+	for _, p := range [][]byte{frame[:n], rec.hdr, rec.val, rec.bits} {
+		if _, err := rec.w.Write(p); err != nil {
+			rec.err = err
+			return
+		}
 	}
-	if _, err := rec.w.Write(rec.hdr); err != nil {
-		rec.err = err
-		return
-	}
-	if _, err := rec.w.Write(rec.val); err != nil {
-		rec.err = err
-		return
-	}
-	rec.hdr, rec.val = rec.hdr[:0], rec.val[:0]
-	rec.blockEvents = 0
+	rec.hdr, rec.val, rec.bits = rec.hdr[:0], rec.val[:0], rec.bits[:0]
+	rec.nbits, rec.blockEvents = 0, 0
 }
 
 // Events returns the number of events recorded so far.

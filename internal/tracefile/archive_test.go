@@ -348,9 +348,10 @@ func TestArchiveTornNonNewestErrors(t *testing.T) {
 	}
 }
 
-// firstBlockPayloadOffset walks the header the same way the parser does
-// and returns the offset of the first block's first payload byte.
-func firstBlockPayloadOffset(t *testing.T, data []byte) int {
+// firstBlockOffsets walks the header the same way the parser does and
+// returns the offsets of the first block's first payload byte and first
+// branch-bit byte.
+func firstBlockOffsets(t *testing.T, data []byte) (payload, bits int) {
 	t.Helper()
 	br := bytes.NewReader(data[len(magicArch):])
 	if _, err := binary.ReadUvarint(br); err != nil { // version
@@ -375,13 +376,18 @@ func firstBlockPayloadOffset(t *testing.T, data []byte) int {
 	if _, err := binary.ReadUvarint(br); err != nil { // count
 		t.Fatal(err)
 	}
-	if _, err := binary.ReadUvarint(br); err != nil { // size
+	size, err := binary.ReadUvarint(br)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := binary.ReadUvarint(br); err != nil { // start pc
 		t.Fatal(err)
 	}
-	return len(data) - br.Len() + 4 // skip the CRC
+	if _, err := binary.ReadUvarint(br); err != nil { // branch count
+		t.Fatal(err)
+	}
+	payload = len(data) - br.Len() + 8 // skip the two CRCs
+	return payload, payload + int(size)
 }
 
 // TestArchiveBlockCorruptionFallsBackAndReRecords: a bit flip inside a
@@ -396,7 +402,8 @@ func TestArchiveBlockCorruptionFallsBackAndReRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[firstBlockPayloadOffset(t, data)] ^= 0x40
+	payload, _ := firstBlockOffsets(t, data)
+	data[payload] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -558,13 +565,16 @@ func flipAt(t *testing.T, path string, off int64) {
 	}
 }
 
-// TestReplayDetectsCorruptionAfterOpen: blocks are read back from the
-// file on every replay, so a byte flipped inside a block after Open
-// (or Commit) fails both replay planes with ErrCorrupt instead of
-// delivering a wrong stream, as does a file cut short under the reader.
+// TestReplayDetectsCorruptionAfterOpen: block sections are read back
+// from the file on every replay, and each plane reads only its own — the
+// control plane the branch-bit section, the full plane the payload. A
+// byte flipped after Open (or Commit) fails exactly the plane that reads
+// it with ErrCorrupt and 0 events from a damaged first block, while the
+// other plane still replays the pre-damage stream; a file cut short
+// under the reader fails each plane at the first block it cannot read.
 func TestReplayDetectsCorruptionAfterOpen(t *testing.T) {
 	dir := t.TempDir()
-	a, _, _, _ := recordInto(t, dir, "arch", 0)
+	a, events, hash, _ := recordInto(t, dir, "arch", 0)
 	rec, ok := a.Lookup("arch", 1)
 	if !ok {
 		t.Fatal("recording not found")
@@ -574,35 +584,58 @@ func TestReplayDetectsCorruptionAfterOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipAt(t, path, int64(firstBlockPayloadOffset(t, data)))
-	for name, sink := range map[string]trace.BatchConsumer{
-		"ctl":  trace.NewHash(),
-		"full": trace.ForceFullPlane(trace.NewHash()),
-	} {
-		n, _, err := rec.Replay(0, nil, sink)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
-		}
-		if n != 0 {
-			t.Fatalf("%s: delivered %d events from a damaged first block", name, n)
+	payloadOff, bitsOff := firstBlockOffsets(t, data)
+	// want states, per plane, the events delivered and whether the
+	// replay fails; a replay that succeeds must deliver the pre-damage
+	// stream.
+	type want struct {
+		n       uint64
+		corrupt bool
+	}
+	check := func(what string, planes map[string]want) {
+		t.Helper()
+		for name, w := range planes {
+			h := trace.NewHash()
+			var sink trace.BatchConsumer = h
+			if name == "full" {
+				sink = trace.ForceFullPlane(h)
+			}
+			n, _, err := rec.Replay(0, nil, sink)
+			if got := errors.Is(err, ErrCorrupt); got != w.corrupt || (!got && err != nil) {
+				t.Fatalf("%s, %s plane: err = %v, want corrupt=%v", what, name, err, w.corrupt)
+			}
+			if n != w.n {
+				t.Fatalf("%s, %s plane: delivered %d events, want %d", what, name, n, w.n)
+			}
+			if err == nil && h.Sum != hash {
+				t.Fatalf("%s, %s plane: hash %x, want the pre-damage %x", what, name, h.Sum, hash)
+			}
 		}
 	}
 
-	// Restore the byte, then cut the file inside its last block.
-	flipAt(t, path, int64(firstBlockPayloadOffset(t, data)))
-	if _, _, err := rec.Replay(0, nil, trace.NewHash()); err != nil {
-		t.Fatalf("restored file: %v", err)
+	flipAt(t, path, int64(bitsOff))
+	check("damaged branch bits", map[string]want{"ctl": {0, true}, "full": {events, false}})
+	flipAt(t, path, int64(bitsOff))
+	flipAt(t, path, int64(payloadOff))
+	check("damaged payload", map[string]want{"ctl": {events, false}, "full": {0, true}})
+	flipAt(t, path, int64(payloadOff))
+	check("restored file", map[string]want{"ctl": {events, false}, "full": {events, false}})
+
+	// Cut the file inside its last block's branch-bit section, then
+	// inside its payload padding.
+	last := rec.blocks[len(rec.blocks)-1]
+	if last.bitsSize == 0 || len(rec.blocks) < 2 {
+		t.Fatalf("want a multi-block recording whose last block has branch bits, got %d blocks, %d bytes", len(rec.blocks), last.bitsSize)
 	}
-	if err := os.Truncate(path, int64(len(data))-blockPad-trailerLen(rec.Events())); err != nil {
+	before := events - last.count
+	if err := os.Truncate(path, last.bitsOff+int64(last.bitsSize)-1); err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := rec.Replay(0, nil, trace.NewHash())
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated file: err = %v, want ErrCorrupt", err)
+	check("cut in the last branch-bit section", map[string]want{"ctl": {before, true}, "full": {events, false}})
+	if err := os.Truncate(path, last.off+int64(last.size)-blockPad); err != nil {
+		t.Fatal(err)
 	}
-	if n == 0 || n >= rec.Events() {
-		t.Fatalf("truncated file: delivered %d of %d events, want the intact blocks only", n, rec.Events())
-	}
+	check("cut in the last payload", map[string]want{"ctl": {before, true}, "full": {before, true}})
 }
 
 // TestReplayOutlivesReRecord: a re-record installs a new file under the

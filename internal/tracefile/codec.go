@@ -132,8 +132,7 @@ func readProgram(br byteReader) (*program.Program, error) {
 // Per event: one header byte, then 0-2 little-endian fields whose
 // byte widths (1, 2, 4 or 8) the header's 2-bit length codes announce:
 //
-//	bit0:    taken (control kinds only; drives the pc chain, and is
-//	         the only header bit the control-plane walk reads)
+//	bit0:    taken (control kinds only; drives the pc chain)
 //	bits1-2: primary length code — WrittenVal (ALU/seq, zigzag),
 //	         MemVal (load/store, zigzag), or Target (ret, unsigned)
 //	bits3-4: mem-addr length code (load/store)
@@ -153,6 +152,16 @@ func readProgram(br byteReader) (*program.Program, error) {
 // Fields decode with one unconditional 8-byte load and a width mask;
 // the field plane ends with blockPad zero bytes so those loads can
 // never run past the buffer.
+//
+// Beside the payload each block has a branch-bit section: the taken bit
+// of every conditional branch in the block, in stream order, packed
+// LSB-first into ⌈branches/8⌉ bytes with the unused high bits zero.
+// It repeats header bit 0 of the block's branches and is all the
+// control-plane walk reads: jumps, calls and returns are always taken
+// (validation checks that), their targets are static or on the walk's
+// shadow call stack, and everything else falls through. Validation
+// rejects a block whose bits disagree with its headers, whose bit
+// count is not its branch count, or whose pad bits are set.
 
 // blockPad is the zero padding sealing every packed block payload.
 const blockPad = 8
@@ -247,6 +256,9 @@ const (
 	// tmplCall marks calls: the control-plane walk pushes their return
 	// address on its shadow call stack.
 	tmplCall = 1 << 5
+	// tmplBranch marks conditional branches: the events with a bit in
+	// the block's branch-bit section.
+	tmplBranch = 1 << 6
 )
 
 // evTmpl is one per-pc decode template: the static share of every event
@@ -288,7 +300,10 @@ func buildTmpls(code []isa.Instr) []evTmpl {
 			t.target = uint32(in.Target)
 		case isa.KindRet:
 			t.flags = tmplRet
-		case isa.KindBranch, isa.KindJump:
+		case isa.KindBranch:
+			t.flags = tmplBranch
+			t.target = uint32(in.Target)
+		case isa.KindJump:
 			t.target = uint32(in.Target)
 		}
 		if in.Kind.EndsRun() {
@@ -499,13 +514,13 @@ func decodeEventsPacked(blk []byte, hpos, hlim, vpos int, pc uint64, evs []trace
 }
 
 // ctlWalk is the control-plane replay of a recording: a basic-block walk
-// over the pc chain that reads nothing but the template table and the
-// header bytes of control instructions. Straight-line runs are hopped
-// whole with evTmpl.run, their header bytes never loaded, and ret
-// targets come from a shadow call stack instead of the field plane —
-// exact because validation (checkReturns) proved every recorded return
-// target equals what the matching call pushed. The walk pays per
-// transfer, not per event.
+// over the pc chain that reads nothing but the template table and each
+// block's branch-bit section. Straight-line runs are hopped whole with
+// evTmpl.run, a conditional branch takes the next bit, jumps, calls and
+// returns are taken, and ret targets come from a shadow call stack —
+// exact because validation (ctlCheck) proved the bits equal the
+// recorded branch outcomes and every recorded return target equals what
+// the matching call pushed. The walk pays per transfer, not per event.
 type ctlWalk struct {
 	// xs buffers the pending batch's transfers; k counts them, and the
 	// batch covers the dynamic indices from first.
@@ -516,11 +531,12 @@ type ctlWalk struct {
 	stack []uint32
 }
 
-// block walks the first take events of a block whose header plane is
-// hdr (len(hdr) >= take), starting at pc and numbering events from
-// base. A batch is delivered to sink whenever xs fills; the caller
-// flushes the remainder with flush.
-func (w *ctlWalk) block(hdr []byte, pc, base, take uint64, tmpls []evTmpl, sink trace.CtlBatchConsumer) error {
+// block walks the first take events of a block whose branch-bit section
+// is bits, starting at pc and numbering events from base. A batch is
+// delivered to sink whenever xs fills; the caller flushes the remainder
+// with flush.
+func (w *ctlWalk) block(bits []byte, pc, base, take uint64, tmpls []evTmpl, sink trace.CtlBatchConsumer) error {
+	var bi uint64 // the next branch's bit
 	for i := uint64(0); i < take; {
 		if pc >= uint64(len(tmpls)) {
 			return fmt.Errorf("%w: pc=%d at event %d", ErrCorrupt, pc, base+i)
@@ -533,7 +549,15 @@ func (w *ctlWalk) block(hdr []byte, pc, base, take uint64, tmpls []evTmpl, sink 
 			continue
 		}
 		next := pc + 1
-		taken := hdr[i]&1 != 0
+		taken := true
+		if t.flags&tmplBranch != 0 {
+			j := bi >> 3
+			if j >= uint64(len(bits)) {
+				return fmt.Errorf("%w: branch bits exhausted at event %d", ErrCorrupt, base+i)
+			}
+			taken = bits[j]>>(bi&7)&1 != 0
+			bi++
+		}
 		tgt := uint64(t.target)
 		if taken {
 			switch {
@@ -575,14 +599,30 @@ func (w *ctlWalk) flush(end uint64, sink trace.CtlBatchConsumer) {
 	w.first, w.k = end, 0
 }
 
-// checkReturns is the ISA rule control-plane replay relies on — ret
-// pops what call pushed — checked over a chunk of full-decoded events:
-// stack is the recording's shadow call stack so far. It hops
-// straight-line runs like ctlWalk, so it costs per transfer, not per
-// event. Calls, jumps and rets must be recorded taken (the recorder
-// never writes otherwise), a call may not nest past interp.MaxCallDepth,
-// and every return target must equal the address its call pushed.
-func checkReturns(evs []trace.Event, tmpls []evTmpl, stack []uint32) ([]uint32, error) {
+// ctlCheck checks, over the full decode of a recording, the facts the
+// control-plane walk relies on instead of reading the payload. Calls,
+// jumps and rets must be recorded taken (the recorder never writes
+// otherwise), a call may not nest past interp.MaxCallDepth, every return
+// target must equal the address its call pushed (stack is the
+// recording's shadow call stack, spanning its blocks), and each
+// conditional branch's bit in the block's branch-bit section must equal
+// its recorded outcome. It hops straight-line runs like ctlWalk, so it
+// costs per transfer, not per event.
+type ctlCheck struct {
+	stack []uint32
+	// bits is the current block's branch-bit section, nbits its bit
+	// count and bi the bits consumed so far.
+	bits      []byte
+	nbits, bi uint64
+}
+
+// startBlock resets the bit cursor for a block's section of nbits bits.
+func (c *ctlCheck) startBlock(bits []byte, nbits uint64) {
+	c.bits, c.nbits, c.bi = bits, nbits, 0
+}
+
+// chunk checks a chunk of the current block's full-decoded events.
+func (c *ctlCheck) chunk(evs []trace.Event, tmpls []evTmpl) error {
 	for i := 0; i < len(evs); {
 		ev := &evs[i]
 		t := &tmpls[ev.PC]
@@ -591,25 +631,44 @@ func checkReturns(evs []trace.Event, tmpls []evTmpl, stack []uint32) ([]uint32, 
 			continue
 		}
 		i++
-		if !ev.Taken {
-			if t.flags&(tmplCall|tmplRet) != 0 || ev.Instr.Kind == isa.KindJump {
-				return stack, fmt.Errorf("%w: untaken %s at event %d", ErrCorrupt, ev.Instr.Kind, ev.Index)
+		if t.flags&tmplBranch != 0 {
+			if c.bi >= c.nbits {
+				return fmt.Errorf("%w: more branches than the block's %d branch bits at event %d", ErrCorrupt, c.nbits, ev.Index)
 			}
+			if bit := c.bits[c.bi>>3]>>(c.bi&7)&1 != 0; bit != ev.Taken {
+				return fmt.Errorf("%w: branch bit %d disagrees with the recorded outcome at event %d", ErrCorrupt, c.bi, ev.Index)
+			}
+			c.bi++
 			continue
+		}
+		if !ev.Taken {
+			return fmt.Errorf("%w: untaken %s at event %d", ErrCorrupt, ev.Instr.Kind, ev.Index)
 		}
 		switch {
 		case t.flags&tmplCall != 0:
-			if len(stack) >= interp.MaxCallDepth {
-				return stack, fmt.Errorf("%w: call depth over %d at event %d", ErrCorrupt, interp.MaxCallDepth, ev.Index)
+			if len(c.stack) >= interp.MaxCallDepth {
+				return fmt.Errorf("%w: call depth over %d at event %d", ErrCorrupt, interp.MaxCallDepth, ev.Index)
 			}
-			stack = append(stack, uint32(ev.PC)+1)
+			c.stack = append(c.stack, uint32(ev.PC)+1)
 		case t.flags&tmplRet != 0:
-			n := len(stack)
-			if n == 0 || isa.Addr(stack[n-1]) != ev.Target {
-				return stack, fmt.Errorf("%w: return target %d does not match the call stack at event %d", ErrCorrupt, ev.Target, ev.Index)
+			n := len(c.stack)
+			if n == 0 || isa.Addr(c.stack[n-1]) != ev.Target {
+				return fmt.Errorf("%w: return target %d does not match the call stack at event %d", ErrCorrupt, ev.Target, ev.Index)
 			}
-			stack = stack[:n-1]
+			c.stack = c.stack[:n-1]
 		}
 	}
-	return stack, nil
+	return nil
+}
+
+// endBlock checks that the block used every branch bit and left the
+// section's unused high bits zero.
+func (c *ctlCheck) endBlock() error {
+	if c.bi != c.nbits {
+		return fmt.Errorf("%w: block has %d branch bits but %d branches", ErrCorrupt, c.nbits, c.bi)
+	}
+	if r := c.nbits & 7; r != 0 && c.bits[len(c.bits)-1]>>r != 0 {
+		return fmt.Errorf("%w: nonzero pad bits in the branch-bit section", ErrCorrupt)
+	}
+	return nil
 }

@@ -3,9 +3,13 @@ package tracefile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynloop/internal/builder"
@@ -301,5 +305,199 @@ func TestReplayIgnoresNonControlTakenBit(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Events, want.Events) {
 		t.Fatal("a taken bit on a nop changed the full decode")
+	}
+}
+
+// recordBits records a five-trip countdown loop — one block whose
+// branch-bit section is the single byte 0b01111 (four taken back edges,
+// then the exit) — and returns the archive and the recorder's program.
+func recordBits(t *testing.T, dir string) (*Archive, *program.Program) {
+	t.Helper()
+	p := &program.Program{Name: "bits", Code: []isa.Instr{
+		isa.MovI(1, 5),                // 0
+		isa.AddI(1, 1, -1),            // 1: loop head
+		isa.Branch(isa.CondNEZ, 1, 1), // 2
+		isa.Halt(),                    // 3
+	}}
+	a, err := OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.BeginRecord("bits", 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := interp.New(p).Run(0, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Commit(true); err != nil {
+		t.Fatal(err)
+	}
+	return a, p
+}
+
+// TestBranchBitsInvariant: control-plane replay reads branch outcomes
+// only from the branch-bit section, so validation must reject a block
+// whose bits disagree with the recorded outcomes, whose bit count is not
+// its branch count (in either direction) or whose unused high bits are
+// set. Each damage, with both block CRCs recomputed, must invalidate the
+// file at Open; the same damage to a Recorder's pending block must fail
+// Commit.
+func TestBranchBitsInvariant(t *testing.T) {
+	cases := []struct {
+		name   string
+		reason string
+		// file damages an archive image whose only block is b; pending
+		// damages a Recorder's unflushed block the same way.
+		file    func(data []byte, b blockRef)
+		pending func(rec *Recorder)
+	}{
+		{"flipped bit", "disagrees with the recorded outcome",
+			func(data []byte, b blockRef) { data[b.bitsOff] ^= 1 },
+			func(rec *Recorder) { rec.bits[0] ^= 1 }},
+		// The branch count is the one-byte uvarint just before the two
+		// CRCs; 5 → 6 keeps the section one byte and adds a zero bit.
+		{"extra bit", "5 branches",
+			func(data []byte, b blockRef) { data[b.off-9]++ },
+			func(rec *Recorder) { rec.nbits++ }},
+		{"missing bit", "more branches than",
+			func(data []byte, b blockRef) { data[b.off-9]-- },
+			func(rec *Recorder) { rec.nbits-- }},
+		{"pad bit", "nonzero pad bits",
+			func(data []byte, b blockRef) { data[b.bitsOff] |= 0x80 },
+			func(rec *Recorder) { rec.bits[0] |= 0x80 }},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		a, p := recordBits(t, dir)
+		r, _ := a.Lookup("bits", 1)
+		if len(r.blocks) != 1 {
+			t.Fatalf("want one block, got %d", len(r.blocks))
+		}
+		b := r.blocks[0]
+		a.Close()
+		path := archFile(t, dir)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nb := data[b.off-9]; b.bitsSize != 1 || data[b.bitsOff] != 0b01111 || nb != 5 {
+			t.Fatalf("branch bits %#b (%d bits, %d bytes), want 0b01111 in 5 bits, 1 byte", data[b.bitsOff], nb, b.bitsSize)
+		}
+		c.file(data, b)
+		bits := data[b.bitsOff : b.bitsOff+int64(b.bitsSize)]
+		binary.LittleEndian.PutUint32(data[b.off-8:], crc32.ChecksumIEEE(bits))
+		binary.LittleEndian.PutUint32(data[b.off-4:], crc32.ChecksumIEEE(data[b.off:b.off+int64(b.size)]))
+		if _, _, err := parseArchive(bytes.NewReader(data), int64(len(data))); !errors.Is(err, errInvalid) || !strings.Contains(err.Error(), c.reason) {
+			t.Fatalf("%s: parse err = %v, want errInvalid for %q", c.name, err, c.reason)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cold, err := OpenArchive(dir)
+		if err != nil {
+			t.Fatalf("%s: damaged branch bits must not fail Open: %v", c.name, err)
+		}
+		if _, ok := cold.Lookup("bits", 1); ok {
+			t.Fatalf("%s: recording with damaged branch bits served", c.name)
+		}
+		if st := cold.Stats(); st.Invalidated != 1 {
+			t.Fatalf("%s: Invalidated = %d, want 1", c.name, st.Invalidated)
+		}
+
+		rec, err := cold.BeginRecord("bits", 2, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := interp.New(p).Run(0, rec); err != nil {
+			t.Fatal(err)
+		}
+		c.pending(rec)
+		if err := rec.Commit(true); err == nil || !strings.Contains(err.Error(), c.reason) {
+			t.Fatalf("%s: Commit err = %v, want a failed validation for %q", c.name, err, c.reason)
+		}
+		cold.Close()
+	}
+}
+
+// countingReaderAt counts the bytes read through it.
+type countingReaderAt struct {
+	r io.ReaderAt
+	n int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestReplayCtlReadsOnlyBranchBits: a control-plane replay reads
+// exactly the branch-bit sections of the blocks it touches — the whole
+// section of a block a budget cuts — and never a payload byte; a
+// full-plane replay reads exactly the payloads.
+func TestReplayCtlReadsOnlyBranchBits(t *testing.T) {
+	dir := t.TempDir()
+	recordInto(t, dir, "arch", 0)
+	data, err := os.ReadFile(archFile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingReaderAt{r: bytes.NewReader(data)}
+	r, _, err := parseArchive(src, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.blocks) < 3 {
+		t.Fatalf("want at least 3 blocks, got %d", len(r.blocks))
+	}
+	var bitsAll, payloadAll, bits3 int64
+	for i, b := range r.blocks {
+		bitsAll += int64(b.bitsSize)
+		payloadAll += int64(b.size)
+		if i < 3 {
+			bits3 += int64(b.bitsSize)
+		}
+	}
+	for _, leg := range []struct {
+		name   string
+		budget uint64
+		sink   trace.BatchConsumer
+		want   int64
+	}{
+		{"ctl", 0, trace.NewHash(), bitsAll},
+		{"ctl, budget inside block 2", r.blocks[0].count + r.blocks[1].count + 1, trace.NewHash(), bits3},
+		{"full", 0, trace.ForceFullPlane(trace.NewHash()), payloadAll},
+	} {
+		src.n = 0
+		if _, _, err := r.Replay(leg.budget, nil, leg.sink); err != nil {
+			t.Fatal(err)
+		}
+		if src.n != leg.want {
+			t.Fatalf("%s: read %d bytes, want %d", leg.name, src.n, leg.want)
+		}
+	}
+}
+
+// TestReplayCtlDecoderSizedToBitSections: a Decoder that only serves
+// control-plane replays grows its block buffer to the largest branch-bit
+// section, not the largest payload, and never allocates full events.
+func TestReplayCtlDecoderSizedToBitSections(t *testing.T) {
+	dir := t.TempDir()
+	a, _, _, _ := recordInto(t, dir, "arch", 0)
+	r, _ := a.Lookup("arch", 1)
+	maxBits := 0
+	for _, b := range r.blocks {
+		maxBits = max(maxBits, int(b.bitsSize))
+	}
+	if maxBits == 0 || 8*maxBits >= r.maxBlock {
+		t.Fatalf("largest branch-bit section %d bytes, payload %d: want a small nonzero section", maxBits, r.maxBlock)
+	}
+	var d Decoder
+	if _, _, err := r.Replay(0, &d, trace.NewHash()); err != nil {
+		t.Fatal(err)
+	}
+	if cap(d.blk) != maxBits || d.evs != nil {
+		t.Fatalf("ctl-only decoder: block buffer %d bytes (want %d), full events allocated: %v", cap(d.blk), maxBits, d.evs != nil)
 	}
 }

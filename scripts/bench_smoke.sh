@@ -20,12 +20,14 @@
 #
 # Gate 2 runs the ctl-plane legs of BenchmarkTraceReplay and fails if
 # a full replay (archive walk + consumer delivery) costs more than
-# interpretation of the same stream into the same sink. Both legs
-# deliver sparse control-plane batches, but replay walks the archive
-# per control transfer while interpretation still executes every
-# instruction, so replay/interpret reads 0.23-0.38 on the 2-vCPU Xeon
-# (~1.2-1.9 vs ~3.9-6.1 ns/instr). The gate is far from tripping in
-# normal runs; it catches replay falling back to a per-event decode.
+# REPLAY_RATIO of interpretation of the same stream into the same sink.
+# Both legs deliver sparse control-plane batches, but replay walks the
+# archive per control transfer, reading only each block's branch-bit
+# section, while interpretation still executes every instruction. Over
+# 10 runs on the 2-vCPU Xeon, replay/interpret read 0.12-0.24 per
+# sample and 0.15-0.22 per run median (~0.70 vs ~3.9 ns/instr), so
+# 0.5 leaves over 2x headroom yet catches replay falling back to a
+# per-event decode or to reading whole blocks.
 #
 # Each gate takes 5 samples, one go test process per sample, so
 # the two legs alternate through the host's slow and fast phases, and
@@ -40,7 +42,7 @@
 set -euo pipefail
 
 RUN_RATIO="${BENCH_SMOKE_RUN_RATIO:-0.73}"
-REPLAY_RATIO="${BENCH_SMOKE_REPLAY_RATIO:-1.15}"
+REPLAY_RATIO="${BENCH_SMOKE_REPLAY_RATIO:-0.5}"
 ITERS="${BENCH_SMOKE_ITERS:-25000000}"
 SAMPLES=5
 
@@ -103,6 +105,6 @@ awk -v m="$RUN_MED" -v k="$RUN_RATIO" 'BEGIN { exit !(m <= k) }' ||
 awk -v m="$FULL_MED" -v k="$RUN_RATIO" 'BEGIN { exit !(m <= k) }' ||
 	fail "BenchmarkRunFullPlane's median ratio to the reference path, ${FULL_MED}, exceeds ${RUN_RATIO}"
 awk -v m="$REPLAY_MED" -v k="$REPLAY_RATIO" 'BEGIN { exit !(m <= k) }' ||
-	fail "full replay's median ratio to interpretation, ${REPLAY_MED}, exceeds the ${REPLAY_RATIO} noise ratio"
+	fail "full replay's median ratio to interpretation, ${REPLAY_MED}, exceeds ${REPLAY_RATIO}"
 
 echo "bench_smoke: OK (median ratios: run/reference ${RUN_MED}, full-plane/reference ${FULL_MED}, replay/interpret ${REPLAY_MED}; 0 allocs)"
