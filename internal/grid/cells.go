@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"dynloop/internal/branchpred"
 	"dynloop/internal/builder"
@@ -207,7 +208,7 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 								ec.ExcludeCapacity = ex.Capacity
 							}
 							c := coord
-							c.Policy, c.TUs, c.LETCap, c.NestRule, c.Exclusion = pol.String(), tus, letCap, nrName, ex
+							c.Policy, c.TUs, c.LETCap, c.NestRule, c.Exclusion = polName, tus, letCap, nrName, ex
 							cells = append(cells, specEngineCell(cfg, bm, c, ec))
 						}
 					}
@@ -235,7 +236,7 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 			cells = append(cells, Cell{
 				Coord: c,
 				Key:   cfg.cellKey("fig4", size, bm.Name),
-				Label: fmt.Sprintf("fig4 %s/%d entries", bm.Name, size),
+				Label: "fig4 " + bm.Name + "/" + strconv.Itoa(size) + " entries",
 				bench: bm, cfg: cfg,
 				mk: func() (trace.Pass, func() (any, error)) {
 					tr := looptab.NewTracker(size, size)
@@ -267,7 +268,7 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 		cells = append(cells, Cell{
 			Coord: coord,
 			Key:   cfg.cellKey("clssize", bm.Name),
-			Label: fmt.Sprintf("cls %s/%d entries", bm.Name, capEntries),
+			Label: "cls " + bm.Name + "/" + strconv.Itoa(capEntries) + " entries",
 			bench: bm, cfg: cfg,
 			mk: func() (trace.Pass, func() (any, error)) {
 				ls := loopstats.NewCollector()
@@ -292,7 +293,7 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 				cells = append(cells, Cell{
 					Coord: c,
 					Key:   cfg.cellKey("replacement", bm.Name, size, mode),
-					Label: fmt.Sprintf("replacement %s/%d/%s", bm.Name, size, mode),
+					Label: "replacement " + bm.Name + "/" + strconv.Itoa(size) + "/" + mode,
 					bench: bm, cfg: cfg,
 					mk: func() (trace.Pass, func() (any, error)) {
 						tr := looptab.NewTracker(size, size)
@@ -380,12 +381,13 @@ func appendKindCells(cells []Cell, rs Spec, bm workload.Benchmark, cfg Config, c
 // all built from; the cache key covers every spec.Config field so
 // distinct configurations never collide, while identical cells
 // submitted by different grids on a shared Runner are computed once.
+// coord.Policy is ec.Policy's canonical name (resolve normalised it).
 func specEngineCell(cfg Config, bm workload.Benchmark, coord Coord, ec spec.Config) Cell {
 	return Cell{
 		Coord: coord,
 		Key: cfg.cellKey("spec", bm.Name, ec.TUs, ec.Policy, ec.LETCapacity, ec.NestRule,
 			ec.Exclude, ec.ExcludeThreshold, ec.ExcludeMinResolved, ec.ExcludeCapacity),
-		Label: fmt.Sprintf("%s %s/%d TUs", bm.Name, ec.Policy, ec.TUs),
+		Label: bm.Name + " " + coord.Policy + "/" + strconv.Itoa(ec.TUs) + " TUs",
 		bench: bm, cfg: cfg,
 		mk: func() (trace.Pass, func() (any, error)) {
 			e := spec.NewEngine(ec)

@@ -12,3 +12,6 @@ func CellPlanes(c Cell) (p trace.Planes, ok bool) {
 	pass, _ := c.mk()
 	return trace.PlanesOf(pass), true
 }
+
+// CellGroupKey is the fusion group cell c joins in a fused Run.
+func CellGroupKey(c Cell) string { return c.cfg.groupKey(c.bench.Name, c.cfg.budget()) }

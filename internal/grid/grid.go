@@ -21,10 +21,11 @@ package grid
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"dynloop/internal/harness"
 	"dynloop/internal/runner"
+	"dynloop/internal/spec"
 	"dynloop/internal/workload"
 )
 
@@ -165,14 +166,64 @@ var CellSchemaVersion = 1
 // runner.Job. Each part is length-prefixed so adjacent parts cannot
 // blur into a colliding key ("a","bc" vs "ab","c", or a part containing
 // the delimiter).
+//
+// Keys are store and wire addresses, so their bytes are a contract:
+// every part renders exactly as fmt.Sprint would render it. The
+// encoder appends into one stack buffer without fmt, so a key costs one
+// allocation — the final string. TestGoldenCellKeys pins the bytes of
+// every registered grid's keys and FuzzCellKey diffs the encoder
+// against the fmt rendering.
 func (c Config) cellKey(parts ...any) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|b%d|s%d|cls%d|ba%d", CellSchemaVersion, c.budget(), c.seed(), c.CLSCapacity, c.BatchSize)
+	var buf [keyBufLen]byte
+	b := append(buf[:0], 'v')
+	b = strconv.AppendInt(b, int64(CellSchemaVersion), 10)
+	b = append(b, "|b"...)
+	b = strconv.AppendUint(b, c.budget(), 10)
+	b = append(b, "|s"...)
+	b = strconv.AppendUint(b, c.seed(), 10)
+	b = append(b, "|cls"...)
+	b = strconv.AppendInt(b, int64(c.CLSCapacity), 10)
+	b = append(b, "|ba"...)
+	b = strconv.AppendInt(b, int64(c.BatchSize), 10)
 	for _, p := range parts {
-		s := fmt.Sprint(p)
-		fmt.Fprintf(&b, "|%d:%s", len(s), s)
+		b = appendKeyPart(b, p)
 	}
-	return b.String()
+	return string(b)
+}
+
+// keyBufLen sizes the stack buffer keys are built in; every key of the
+// registered grids fits, and a longer one only grows onto the heap.
+const keyBufLen = 160
+
+// appendKeyPart appends "|<len>:<part>", the part rendered as
+// fmt.Sprint renders it. The cases are the types cells pass; any other
+// type falls back to fmt.
+func appendKeyPart(b []byte, p any) []byte {
+	var tmp [32]byte
+	switch v := p.(type) {
+	case string:
+		return appendLenPrefixed(b, v)
+	case int:
+		return appendLenPrefixed(b, strconv.AppendInt(tmp[:0], int64(v), 10))
+	case bool:
+		return appendLenPrefixed(b, strconv.AppendBool(tmp[:0], v))
+	case float64:
+		return appendLenPrefixed(b, strconv.AppendFloat(tmp[:0], v, 'g', -1, 64))
+	case spec.Policy:
+		return appendLenPrefixed(b, v.AppendName(tmp[:0]))
+	case spec.NestRule:
+		return appendLenPrefixed(b, strconv.AppendUint(tmp[:0], uint64(v), 10))
+	default:
+		return appendLenPrefixed(b, fmt.Sprint(p))
+	}
+}
+
+// appendLenPrefixed appends "|<len(s)>:<s>".
+func appendLenPrefixed[S string | []byte](b []byte, s S) []byte {
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
 }
 
 // groupKey names a fusion group: everything that determines the
@@ -182,5 +233,18 @@ func (c Config) cellKey(parts ...any) string {
 // per-pass knobs (policy, TU count, table capacities, even the CLS
 // capacity) deliberately stay out.
 func (c Config) groupKey(bench string, budget uint64) string {
-	return fmt.Sprintf("g|%d:%s|b%d|s%d|ba%d", len(bench), bench, budget, c.seed(), c.BatchSize)
+	var buf [keyBufLen]byte
+	return string(c.appendGroupKey(buf[:0], bench, budget))
+}
+
+// appendGroupKey appends "g|<len>:<bench>|b<budget>|s<seed>|ba<batch>".
+func (c Config) appendGroupKey(b []byte, bench string, budget uint64) []byte {
+	b = append(b, 'g')
+	b = appendLenPrefixed(b, bench)
+	b = append(b, "|b"...)
+	b = strconv.AppendUint(b, budget, 10)
+	b = append(b, "|s"...)
+	b = strconv.AppendUint(b, c.seed(), 10)
+	b = append(b, "|ba"...)
+	return strconv.AppendInt(b, int64(c.BatchSize), 10)
 }

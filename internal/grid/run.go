@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"dynloop/internal/builder"
 	"dynloop/internal/harness"
@@ -68,12 +69,9 @@ func Run(ctx context.Context, cfg Config, s Spec) (*Result, error) {
 // execute in a single fused traversal.
 func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell) ([]any, error) {
 	jobs := make([]runner.GroupJob[any], len(cells))
-	for i, c := range cells {
-		group := c.cfg.groupKey(c.bench.Name, c.cfg.budget())
-		if cfg.NoFuse {
-			group = fmt.Sprintf("%s|cell%d", group, i)
-		}
-		jobs[i] = runner.GroupJob[any]{Key: c.Key, Group: group, Label: c.Label}
+	for i := range cells {
+		c := &cells[i]
+		jobs[i] = runner.GroupJob[any]{Key: c.Key, Group: c.group(cfg.NoFuse, i), Label: c.Label}
 	}
 	exec := func(ctx context.Context, group string, idx []int) ([]any, error) {
 		lead := cells[idx[0]]
@@ -119,6 +117,18 @@ func runCells(ctx context.Context, cfg Config, pool *runner.Runner, cells []Cell
 		return out, nil
 	}
 	return runner.MapGroups(ctx, pool, jobs, exec)
+}
+
+// group is the fusion group cell i of an execution joins: its
+// groupKey, or with noFuse a group of its own ("<groupKey>|cell<i>").
+func (c *Cell) group(noFuse bool, i int) string {
+	if !noFuse {
+		return c.cfg.groupKey(c.bench.Name, c.cfg.budget())
+	}
+	var buf [keyBufLen]byte
+	b := c.cfg.appendGroupKey(buf[:0], c.bench.Name, c.cfg.budget())
+	b = append(b, "|cell"...)
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // ResultFrom rebuilds a Result from a value stream computed elsewhere

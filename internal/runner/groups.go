@@ -137,10 +137,38 @@ func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 		resolve(idx, entries, vals, nil)
 	}
 
-	// waitCell resolves one cell whose key was already claimed when this
-	// call arrived (Runner.do's waiter branch); if the claim it waited on
-	// was cancelled, it retries — claiming and running the cell as a
-	// singleton group if the entry is gone.
+	// serve finishes cell i from its resolved entry e, counted as a
+	// cache hit (e was resolved when this call found it) or a coalesced
+	// wait (this call waited for it).
+	serve := func(i int, e *entry, hit bool) {
+		job := jobs[i]
+		if hit {
+			r.cacheHits.Add(1)
+			mCacheHits.Inc()
+		} else {
+			r.coalesced.Add(1)
+			mCoalesced.Inc()
+		}
+		if e.err != nil {
+			r.emit(Event{Kind: JobFailed, Key: job.Key, Label: job.label(), Err: e.err, Completed: r.completed.Load()})
+			errs[i] = e.err
+			cancel()
+			return
+		}
+		vv, ok := e.val.(T)
+		if !ok {
+			errs[i] = fmt.Errorf("runner: cached value for %q is %T, not the job's result type", job.Key, e.val)
+			cancel()
+			return
+		}
+		r.emit(Event{Kind: JobCached, Key: job.Key, Label: job.label(), Completed: r.completed.Add(1)})
+		out[i] = vv
+	}
+
+	// waitCell resolves one cell whose key was already claimed, and not
+	// yet resolved, when this call arrived (Runner.do's waiter branch);
+	// if the claim it waited on was cancelled, it retries — claiming and
+	// running the cell as a singleton group if the entry is gone.
 	waitCell := func(i int) {
 		job := jobs[i]
 		for {
@@ -154,12 +182,7 @@ func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 				return
 			}
 			r.mu.Unlock()
-			resolvedAlready := false
-			select {
-			case <-e.done:
-				resolvedAlready = true
-			default:
-			}
+			resolvedAlready := resolved(e)
 			select {
 			case <-e.done:
 			case <-ctx.Done():
@@ -173,27 +196,7 @@ func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 				}
 				continue
 			}
-			if resolvedAlready {
-				r.cacheHits.Add(1)
-				mCacheHits.Inc()
-			} else {
-				r.coalesced.Add(1)
-				mCoalesced.Inc()
-			}
-			if e.err != nil {
-				r.emit(Event{Kind: JobFailed, Key: job.Key, Label: job.label(), Err: e.err, Completed: r.completed.Load()})
-				errs[i] = e.err
-				cancel()
-				return
-			}
-			vv, ok := e.val.(T)
-			if !ok {
-				errs[i] = fmt.Errorf("runner: cached value for %q is %T, not the job's result type", job.Key, e.val)
-				cancel()
-				return
-			}
-			r.emit(Event{Kind: JobCached, Key: job.Key, Label: job.label(), Completed: r.completed.Add(1)})
-			out[i] = vv
+			serve(i, e, resolvedAlready)
 			return
 		}
 	}
@@ -212,9 +215,16 @@ func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 		var e *entry
 		if job.Key != "" {
 			r.mu.Lock()
-			if _, ok := r.cache[job.Key]; ok {
+			if e, ok := r.cache[job.Key]; ok {
 				r.mu.Unlock()
-				waiters = append(waiters, i)
+				// An entry already resolved (and not by a cancellation,
+				// which waitCell retries) is served here, in job order;
+				// only cells still in flight get a waiting goroutine.
+				if resolved(e) && !(e.err != nil && isContextErr(e.err)) {
+					serve(i, e, true)
+				} else {
+					waiters = append(waiters, i)
+				}
 				continue
 			}
 			e = &entry{done: make(chan struct{})}
@@ -264,6 +274,16 @@ func MapGroups[T any](ctx context.Context, r *Runner, jobs []GroupJob[T],
 	}
 	wg.Wait()
 	return collectErrs(out, errs)
+}
+
+// resolved reports whether e's done channel is closed, without waiting.
+func resolved(e *entry) bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // collectErrs implements Map's error policy: report the job that

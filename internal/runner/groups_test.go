@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -214,5 +215,95 @@ func TestMapGroupsDeterministicAcrossWorkers(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("results diverge at %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestMapGroupsServesResolvedCellsInline: cells an earlier call on the
+// same runner resolved are served in the claim pass, in job order, each
+// as one cache hit with one JobCached event (a cached failure as a
+// JobFailed event) — before any group of the call starts.
+func TestMapGroupsServesResolvedCellsInline(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		events []Event
+	)
+	r := New(Config{Workers: 2, OnEvent: func(ev Event) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}})
+	ctx := context.Background()
+	jobs := make([]GroupJob[int], 6)
+	for i := range jobs {
+		jobs[i] = GroupJob[int]{Key: fmt.Sprintf("k%d", i), Group: fmt.Sprintf("g%d", i%2), Label: fmt.Sprintf("cell %d", i)}
+	}
+	var runs atomic.Uint64
+	if _, err := MapGroups(ctx, r, jobs, groupExec(func(i int) int { return 10 * i }, &runs)); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if _, err := MapGroups(ctx, r, []GroupJob[int]{{Key: "bad", Group: "gb"}},
+		func(context.Context, string, []int) ([]int, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failing group: err = %v", err)
+	}
+	before := r.Stats()
+	mu.Lock()
+	events = nil
+	mu.Unlock()
+
+	// The six resolved cells plus two new ones in a group of their own.
+	second := append(append([]GroupJob[int](nil), jobs...),
+		GroupJob[int]{Key: "n0", Group: "gn"}, GroupJob[int]{Key: "n1", Group: "gn"})
+	out, err := MapGroups(ctx, r, second, groupExec(func(i int) int { return 10 * i }, &runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if v != 10*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, 10*i)
+		}
+	}
+	s := r.Stats()
+	if d := s.CacheHits - before.CacheHits; d != 6 {
+		t.Errorf("cache hits +%d, want +6", d)
+	}
+	if s.Coalesced != before.Coalesced || s.Executed-before.Executed != 2 || s.GroupRuns-before.GroupRuns != 1 {
+		t.Errorf("stats %+v after %+v: want 2 cells executed in 1 group run, none coalesced", s, before)
+	}
+	mu.Lock()
+	got := append([]Event(nil), events...)
+	mu.Unlock()
+	if len(got) != 8 {
+		t.Fatalf("%d events, want 6 JobCached + JobStarted + JobDone: %+v", len(got), got)
+	}
+	for i := range 6 {
+		ev := got[i]
+		if ev.Kind != JobCached || ev.Key != jobs[i].Key || ev.Label != jobs[i].Label || ev.Completed != uint64(len(jobs)+i+1) {
+			t.Errorf("event %d = %+v, want JobCached for %s in job order", i, ev, jobs[i].Key)
+		}
+	}
+	if got[6].Kind != JobStarted || got[7].Kind != JobDone {
+		t.Errorf("group events = %v, %v; want JobStarted, JobDone", got[6].Kind, got[7].Kind)
+	}
+
+	// A resolved failure is served inline too: one cache hit, one
+	// JobFailed event, the cached error returned, no new Failure.
+	before = r.Stats()
+	mu.Lock()
+	events = nil
+	mu.Unlock()
+	if _, err := MapGroups(ctx, r, []GroupJob[int]{{Key: "bad", Group: "gb"}},
+		func(context.Context, string, []int) ([]int, error) {
+			t.Error("exec ran for a resolved cell")
+			return nil, nil
+		}); !errors.Is(err, boom) {
+		t.Fatalf("cached failure: err = %v", err)
+	}
+	s = r.Stats()
+	if s.CacheHits-before.CacheHits != 1 || s.Failures != before.Failures {
+		t.Errorf("cached failure: stats %+v after %+v, want one more cache hit and no new failure", s, before)
+	}
+	if len(events) != 1 || events[0].Kind != JobFailed || !errors.Is(events[0].Err, boom) {
+		t.Errorf("cached failure: events %+v, want one JobFailed", events)
 	}
 }

@@ -372,12 +372,7 @@ func (r *Runner) do(ctx context.Context, key, label string, typeOK func(any) boo
 			return e.val, e.err
 		}
 		r.mu.Unlock()
-		resolvedAlready := false
-		select {
-		case <-e.done:
-			resolvedAlready = true
-		default:
-		}
+		resolvedAlready := resolved(e)
 		select {
 		case <-e.done:
 		case <-ctx.Done():

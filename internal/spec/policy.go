@@ -12,7 +12,7 @@
 // confirmed).
 package spec
 
-import "fmt"
+import "strconv"
 
 // PolicyKind selects the thread-count decision rule of §3.1.2.
 type PolicyKind uint8
@@ -45,17 +45,30 @@ func STR() Policy { return Policy{Kind: PolicyStride} }
 // STRn returns the STR(i) policy.
 func STRn(i int) Policy { return Policy{Kind: PolicyStride, NestLimit: i} }
 
-// String names the policy as in the paper's figures.
+// String names the policy as in the paper's figures: IDLE, STR or
+// STR(i).
 func (p Policy) String() string {
+	var buf [24]byte
+	return string(p.AppendName(buf[:0]))
+}
+
+// AppendName appends the policy's name (see String) to b; grid cell
+// keys render policies through it without allocating.
+func (p Policy) AppendName(b []byte) []byte {
 	switch p.Kind {
 	case PolicyIdle:
-		return "IDLE"
+		return append(b, "IDLE"...)
 	case PolicyStride:
+		b = append(b, "STR"...)
 		if p.NestLimit > 0 {
-			return fmt.Sprintf("STR(%d)", p.NestLimit)
+			b = append(b, '(')
+			b = strconv.AppendInt(b, int64(p.NestLimit), 10)
+			b = append(b, ')')
 		}
-		return "STR"
+		return b
 	default:
-		return fmt.Sprintf("policy(%d)", uint8(p.Kind))
+		b = append(b, "policy("...)
+		b = strconv.AppendUint(b, uint64(p.Kind), 10)
+		return append(b, ')')
 	}
 }
